@@ -59,8 +59,8 @@ def _check_torus_element(p: Pair, s: Sequence[float]) -> tuple[float, ...]:
 def _log_norm_sq(vec: WeightedVector, s: Sequence[float]) -> float:
     # log sum |coeff|^2 exp(2<s, a>), stabilized against overflow.
     terms = [
-        math.log(float(mag)) + 2.0 * sum(si * ai for si, ai in zip(s, a))
-        for a, mag in zip(vec.support.points, vec.magnitudes)
+        log_mag + 2.0 * sum(si * ai for si, ai in zip(s, a))
+        for a, log_mag in zip(vec.support.points, vec.log_magnitudes)
     ]
     m = max(terms)
     return m + math.log(sum(math.exp(t - m) for t in terms))

@@ -16,14 +16,17 @@ from typing import Iterable, Sequence
 
 from .lattice import OnePS, clear_denominators, dot
 from .linprog import OPTIMAL, solve_lp
-from .polytope import ContainmentContext, NO_CONTEXT, PointSet, hull_contains, min_functional
+from .polytope import (
+    NO_CONTEXT,
+    ContainmentContext,
+    PointSet,
+    _as_pointset,
+    hull_contains,
+    min_functional,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _as_pointset(A) -> PointSet:
-    return A if isinstance(A, PointSet) else PointSet(A)
 
 
 def extension_criterion(

@@ -11,9 +11,10 @@ and a tensor exponent and asks the same question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import lcm, log
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -28,14 +29,13 @@ from . import linalg
 from .polytope import (
     ContainmentContext,
     PointSet,
-    contains_point,
+    _separation,
     convex_combination,
     hull_contains,
     interior_contains,
     min_functional,
     minkowski_sum,
     scale,
-    separating_functional,
 )
 
 
@@ -54,6 +54,7 @@ class StabilityProblem:
     rank: int
     constraints: tuple[LatticePoint, ...]
     q_polytope: PointSet
+    ctx: ContainmentContext = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -87,10 +88,7 @@ class StabilityProblem:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "constraints", cons)
         object.__setattr__(self, "q_polytope", q_polytope)
-
-    @property
-    def ctx(self) -> ContainmentContext:
-        return ContainmentContext(self.constraints)
+        object.__setattr__(self, "ctx", ctx)
 
     @classmethod
     def special_linear(cls, n: int) -> "StabilityProblem":
@@ -164,6 +162,11 @@ class WeightedVector:
             raise ValueError("squared magnitudes must be strictly positive")
         object.__setattr__(self, "support", ps)
         object.__setattr__(self, "magnitudes", aligned)
+
+    @cached_property
+    def log_magnitudes(self) -> tuple[float, ...]:
+        """Natural logs of the squared magnitudes, aligned with the support."""
+        return tuple(log(float(m)) for m in self.magnitudes)
 
     def magnitude_of(self, p: Sequence[int]) -> Fraction:
         key = lattice_point(p)
@@ -243,8 +246,10 @@ def t_semistable(p: Pair) -> Verdict:
     ctx = p.problem.ctx
     cons = p.problem.constraints
     for a in p.v.support:
-        if not contains_point(p.w.support, a, ctx):
-            g = separating_functional(p.w.support, a, ctx)
+        if a in p.w.support:
+            continue
+        g = _separation(p.w.support, a, ctx)
+        if g is not None:
             u = clear_denominators(g)
             if not weight(u, p.w, cons) > weight(u, p.v, cons):
                 raise RuntimeError("internal: destabilizer failed its weight check")

@@ -7,15 +7,16 @@ ambient problem).  Separating functionals come out of the Farkas
 certificate of the infeasible containment LP, so every negative answer is
 machine-checkable.
 
-Facet enumeration exists only in `certificate_normals`, which walks point
-subsets and is meant for the small ranks this package works at.
+Facet enumeration exists only in `certificate_normals`, which runs the
+double-description method in exact integer arithmetic (Motzkin et al.
+1953; Fukuda and Prodon 1996).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -180,12 +181,25 @@ def separating_functional(
     This is the Farkas certificate of the infeasible containment LP.
     Calling it on a contained point is an error.
     """
+    g = _separation(A, x, ctx)
+    if g is None:
+        raise ValueError("point is contained; no separating functional exists")
+    return g
+
+
+def _separation(
+    A: PointSet | Iterable[Sequence[Scalar]],
+    x: Sequence[Scalar],
+    ctx: ContainmentContext,
+) -> RationalFunctional | None:
+    """The verified separating functional of x from conv(A) + span(directions),
+    or None when x is contained; one containment LP either way."""
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
     res = _containment_lp(A, x, ctx)
     if res.status != INFEASIBLE:
-        raise ValueError("point is contained; no separating functional exists")
+        return None
     dim = A.dim
     g = tuple(-y for y in res.farkas[:dim])
     gx = dot(g, [Fraction(c) for c in x])
@@ -284,9 +298,9 @@ def certificate_normals(
         <=>  min over B of <u, .>  >=  min over A of <u, .>  for every u here.
 
     The set combines the inward facet normals of the quotient image of
-    conv(A) with +/- generators pinning down its affine hull.  Enumerates
-    point subsets, so it is exponential in the quotient dimension; fine at
-    the ranks this package targets.
+    conv(A) with +/- generators pinning down its affine hull.  The facets
+    come from an exact double-description enumeration in hull coordinates
+    (`_facet_normals`), not from a walk over point subsets.
     """
     A = _as_pointset(A)
     if not A.points:
@@ -320,26 +334,8 @@ def certificate_normals(
             tuple(sum(T[r][i] * (q[i] - p0[i]) for i in range(k)) for r in range(kp))
             for q in phi
         ]
-        for subset in itertools.combinations(range(len(psi)), kp):
-            base = psi[subset[0]]
-            offs = [
-                tuple(a - b for a, b in zip(psi[s], base)) for s in subset[1:]
-            ]
-            normals = linalg.nullspace(offs, kp)
-            if len(normals) != 1:
-                continue  # subset does not span a hyperplane
-            h = normals[0]
-            vals = [sum(hc * pc for hc, pc in zip(h, q)) for q in psi]
-            v0 = sum(hc * pc for hc, pc in zip(h, base))
-            if all(v >= v0 for v in vals):
-                oriented = h
-            elif all(v <= v0 for v in vals):
-                oriented = tuple(-c for c in h)
-            else:
-                continue  # not a supporting hyperplane
-            lifted = tuple(
-                sum(oriented[r] * T[r][i] for r in range(kp)) for i in range(k)
-            )
+        for h in _facet_normals(psi):
+            lifted = tuple(sum(h[r] * T[r][i] for r in range(kp)) for i in range(k))
             raw.append(lifted)
 
     out: set[OnePS] = set()
@@ -350,3 +346,60 @@ def certificate_normals(
         if any(c != 0 for c in ambient):
             out.add(clear_denominators(ambient))
     return tuple(sorted(out))
+
+
+def _facet_normals(psi: Sequence[Sequence[Fraction]]) -> list[OnePS]:
+    """Primitive inward facet normals of conv(psi), which must affinely span
+    its whole space R^d.
+
+    Double description over the integers: with psi scaled to integer points
+    q, the cone {(h, c) : <h, q> - c >= 0 for every q} is pointed, and its
+    extreme rays are exactly the pairs (h, min of <h, q>) with h an inward
+    facet normal.  The cone is seeded with the simplicial cone of d + 1
+    affinely independent points, then cut by the remaining points one at a
+    time, combining only the +/- ray pairs that pass the combinatorial
+    adjacency test.
+    """
+    d = len(psi[0])
+    den = lcm(*(c.denominator for q in psi for c in q))
+    rows = [tuple(int(c * den) for c in q) + (-1,) for q in psi]
+    # The pivot columns of the transpose are the first independent rows.
+    _, seed = linalg.rref(list(zip(*rows)))
+    # A ray is [primitive vector, bitmask of the processed rows it lies on].
+    rays = []
+    for j in seed:
+        others = [rows[i] for i in seed if i != j]
+        (r,) = linalg.nullspace(others, d + 1)
+        r = clear_denominators(r if dot(rows[j], r) > 0 else [-c for c in r])
+        rays.append([r, sum(1 << i for i in seed if i != j)])
+    seeded = set(seed)
+    for i, a in enumerate(rows):
+        if i in seeded:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for ray in rays:
+            v = dot(a, ray[0])
+            if v > 0:
+                pos.append((ray, v))
+                kept.append(ray)
+            elif v < 0:
+                neg.append((ray, v))
+            else:
+                ray[1] |= bit
+                kept.append(ray)
+        for p, vp in pos:
+            for n, vn in neg:
+                common = p[1] & n[1]
+                # Adjacent iff no third ray lies on every row both lie on;
+                # those rows must number at least d - 1 (rank d - 1 in the
+                # cone of dimension d + 1).
+                if common.bit_count() < d - 1 or any(
+                    other is not p and other is not n and other[1] & common == common
+                    for other in rays
+                ):
+                    continue
+                r = [vp * cn - vn * cp for cn, cp in zip(n[0], p[0])]
+                kept.append([clear_denominators(r), common | bit])
+        rays = kept
+    return [r[:d] for r, _ in rays]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from stablepairs import Pair, PointSet, StabilityProblem, WeightedVector, cross_polytope
 
@@ -144,6 +145,71 @@ def brute_hull_contains(A, B, directions=()):
         if min(_o_dot(h, b) for b in coords_b) < v0:
             return False
     return True
+
+
+def _o_left_inverse(rows):
+    """T with T W^t = I for W with independent rows, via the normal equations."""
+    k = len(rows[0])
+    gram = [[_o_dot(a, b) for b in rows] for a in rows]
+    cols = [_o_solve(gram, [r[t] for r in rows]) for t in range(k)]
+    return [[cols[t][i] for t in range(k)] for i in range(len(rows))]
+
+
+def _o_primitive(g):
+    mult = 1
+    for c in g:
+        mult = lcm(mult, Fraction(c).denominator)
+    ints = [int(Fraction(c) * mult) for c in g]
+    g0 = 0
+    for c in ints:
+        g0 = gcd(g0, c)
+    return tuple(c // g0 for c in ints)
+
+
+def subset_walk_normals(A, ctx):
+    """`certificate_normals` by walking every point subset of hull size.
+
+    Same covectors, found the exponential way: each affinely independent
+    subset spanning a supporting hyperplane of the hull-coordinate image of
+    A yields a facet, lifted back through the hull map and cleared to a
+    primitive integer covector, next to the +/- affine-hull enforcers.
+    """
+    pts = list(A.points)
+    dim = len(pts[0])
+    fbasis = _o_nullspace(list(ctx.mod_directions), dim)
+    k = len(fbasis)
+    if k == 0:
+        return ()
+    phi = [tuple(_o_dot(f, p) for f in fbasis) for p in pts]
+    p0 = phi[0]
+    wrows, _ = _o_rref([_sub(q, p0) for q in phi[1:]])
+    kp = len(wrows)
+    raw = []
+    for g in _o_nullspace(wrows, k):
+        raw.append(g)
+        raw.append(tuple(-c for c in g))
+    if kp > 0:
+        T = _o_left_inverse(wrows)
+        psi = [tuple(_o_dot(T[r], _sub(q, p0)) for r in range(kp)) for q in phi]
+        for subset in itertools.combinations(range(len(psi)), kp):
+            base = psi[subset[0]]
+            normals = _o_nullspace([_sub(psi[s], base) for s in subset[1:]], kp)
+            if len(normals) != 1:
+                continue  # subset does not span a hyperplane
+            h = normals[0]
+            vals = [_o_dot(h, q) for q in psi]
+            v0 = _o_dot(h, base)
+            if all(v <= v0 for v in vals):
+                h = tuple(-c for c in h)
+            elif not all(v >= v0 for v in vals):
+                continue  # not a supporting hyperplane
+            raw.append(tuple(_o_dot(h, [T[r][i] for r in range(kp)]) for i in range(k)))
+    out = set()
+    for u_k in raw:
+        ambient = [_o_dot(u_k, [f[i] for f in fbasis]) for i in range(dim)]
+        if any(c != 0 for c in ambient):
+            out.add(_o_primitive(ambient))
+    return tuple(sorted(out))
 
 
 def box_search_degeneration(A, B, directions=(), box=6):

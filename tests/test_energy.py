@@ -61,6 +61,23 @@ class TestEnergyAt:
             energy_at(p, [1.0, 1.0])
         energy_at(p, [1.0, -1.0])  # admissible direction is fine
 
+    def test_matches_uncached_formula_bit_for_bit(self):
+        def log_norm_sq(vec, s):
+            terms = [
+                math.log(float(mag)) + 2.0 * sum(si * ai for si, ai in zip(s, a))
+                for a, mag in zip(vec.support.points, vec.magnitudes)
+            ]
+            m = max(terms)
+            return m + math.log(sum(math.exp(t - m) for t in terms))
+
+        rng = random.Random(17)
+        for _ in range(40):
+            p = random_pair(rng, rank=2, weighted=True)
+            s = [rng.uniform(-3, 3) for _ in range(2)]
+            if p.problem.constraints:
+                s = [s[0], -s[0]]
+            assert energy_at(p, s) == log_norm_sq(p.w, s) - log_norm_sq(p.v, s)
+
 
 class TestEnergyAlong:
     def test_closed_form_curve(self):

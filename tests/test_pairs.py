@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import stablepairs.linprog
 from stablepairs import (
     Pair,
     PointSet,
@@ -109,6 +110,29 @@ class TestTSemistable:
         w = WeightedVector([(1, 0), (0, 1)])
         assert not t_semistable(Pair(v, w, FREE2)).semistable
         assert t_semistable(Pair(v, w, SL_LIKE)).semistable
+
+    def test_one_lp_per_v_point_outside_the_w_support(self, monkeypatch):
+        calls = []
+        solve_lp = stablepairs.linprog.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(stablepairs.linprog, "solve_lp", counting)
+        rng = random.Random(31)
+        for _ in range(60):
+            p = random_pair(rng)
+            calls.clear()
+            verdict = t_semistable(p)
+            outside = [a for a in p.v.support if a not in p.w.support]
+            assert len(calls) <= len(outside)
+            if verdict.semistable:
+                assert len(calls) == len(outside)
+
+    def test_context_built_once(self):
+        assert SL_LIKE.ctx is SL_LIKE.ctx
+        assert SL_LIKE.ctx.mod_directions == ((1, 1),)
 
 
 class TestDegree:

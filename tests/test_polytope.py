@@ -1,3 +1,6 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from stablepairs import (
 )
 from stablepairs.lattice import dot
 
-from helpers import brute_hull_contains
+from helpers import brute_hull_contains, subset_walk_normals
 
 CTX11 = ContainmentContext([(1, 1)])
 
@@ -206,3 +209,47 @@ def test_certificate_normals_characterize_containment(data):
         min_functional(B, u) >= min_functional(A, u) for u in normals
     )
     assert by_normals == hull_contains(A, B, ctx)
+
+
+def _differential_sets(rng, rank):
+    """Singleton, collinear, (from rank 3) planar and random point sets, and
+    subsets of the {-1, 0, 1} cube, whose many coplanar points make facets
+    share points without sharing a ridge."""
+    box = lambda: tuple(rng.randint(-4, 4) for _ in range(rank))
+    most = 9 if rank == 5 else 12
+    yield PointSet([box()])
+    base, step = box(), box()
+    yield PointSet(
+        tuple(b + t * s for b, s in zip(base, step)) for t in rng.sample(range(-3, 4), 3)
+    )
+    if rank >= 3:
+        e1, e2 = box(), box()
+        yield PointSet(
+            tuple(a * x + b * y for x, y in zip(e1, e2))
+            for a, b in rng.sample([(a, b) for a in range(-2, 3) for b in range(-2, 3)], 6)
+        )
+    for _ in range(12):
+        yield PointSet(box() for _ in range(rng.randint(2, most)))
+    cube = list(itertools.product((-1, 0, 1), repeat=rank))
+    for _ in range(12):
+        yield PointSet(rng.sample(cube, rng.randint(1, min(most, len(cube)))))
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_certificate_normals_match_subset_walk_oracle(rank, constrained):
+    rng = random.Random(1000 * rank + constrained)
+    ctx = ContainmentContext([(1,) * rank] if constrained else [])
+    for A in _differential_sets(rng, rank):
+        assert certificate_normals(A, ctx) == subset_walk_normals(A, ctx)
+
+
+def test_certificate_normals_rank5_twenty_points_is_fast():
+    # The subset walk needs about 15 000 five-point subsets here.
+    rng = random.Random(5)
+    A = PointSet({tuple(rng.randint(-5, 5) for _ in range(5)) for _ in range(20)})
+    assert len(A) == 20
+    start = time.perf_counter()
+    normals = certificate_normals(A)
+    assert time.perf_counter() - start < 1.0
+    assert all(min_functional(A, u) < max(dot(u, p) for p in A) for u in normals)
