@@ -29,13 +29,13 @@ from . import linalg
 from .polytope import (
     ContainmentContext,
     PointSet,
-    _separation,
     convex_combination,
     hull_contains,
     interior_contains,
     min_functional,
     minkowski_sum,
     scale,
+    separating_functional,
 )
 
 
@@ -248,12 +248,14 @@ def t_semistable(p: Pair) -> Verdict:
     for a in p.v.support:
         if a in p.w.support:
             continue
-        g = _separation(p.w.support, a, ctx)
-        if g is not None:
-            u = clear_denominators(g)
-            if not weight(u, p.w, cons) > weight(u, p.v, cons):
-                raise RuntimeError("internal: destabilizer failed its weight check")
-            return Verdict(False, u)
+        try:
+            g = separating_functional(p.w.support, a, ctx)
+        except ValueError:
+            continue  # a lies in the weight polytope of w
+        u = clear_denominators(g)
+        if not weight(u, p.w, cons) > weight(u, p.v, cons):
+            raise RuntimeError("internal: destabilizer failed its weight check")
+        return Verdict(False, u)
     return Verdict(True)
 
 

@@ -181,25 +181,12 @@ def separating_functional(
     This is the Farkas certificate of the infeasible containment LP.
     Calling it on a contained point is an error.
     """
-    g = _separation(A, x, ctx)
-    if g is None:
-        raise ValueError("point is contained; no separating functional exists")
-    return g
-
-
-def _separation(
-    A: PointSet | Iterable[Sequence[Scalar]],
-    x: Sequence[Scalar],
-    ctx: ContainmentContext,
-) -> RationalFunctional | None:
-    """The verified separating functional of x from conv(A) + span(directions),
-    or None when x is contained; one containment LP either way."""
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
     res = _containment_lp(A, x, ctx)
     if res.status != INFEASIBLE:
-        return None
+        raise ValueError("point is contained; no separating functional exists")
     dim = A.dim
     g = tuple(-y for y in res.farkas[:dim])
     gx = dot(g, [Fraction(c) for c in x])

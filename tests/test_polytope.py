@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stablepairs.linalg
+
 from stablepairs import (
     ContainmentContext,
     PointSet,
@@ -244,12 +246,22 @@ def test_certificate_normals_match_subset_walk_oracle(rank, constrained):
         assert certificate_normals(A, ctx) == subset_walk_normals(A, ctx)
 
 
-def test_certificate_normals_rank5_twenty_points_is_fast():
-    # The subset walk needs about 15 000 five-point subsets here.
+def test_certificate_normals_rank5_twenty_points_is_fast(monkeypatch):
+    # The subset walk needs about 15 000 five-point subsets here, one
+    # nullspace each; double description needs one per seed ray.
+    calls = []
+    nullspace = stablepairs.linalg.nullspace
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return nullspace(*args, **kwargs)
+
+    monkeypatch.setattr(stablepairs.linalg, "nullspace", counting)
     rng = random.Random(5)
     A = PointSet({tuple(rng.randint(-5, 5) for _ in range(5)) for _ in range(20)})
     assert len(A) == 20
     start = time.perf_counter()
     normals = certificate_normals(A)
     assert time.perf_counter() - start < 1.0
+    assert len(calls) <= 20
     assert all(min_functional(A, u) < max(dot(u, p) for p in A) for u in normals)
