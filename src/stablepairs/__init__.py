@@ -40,6 +40,7 @@ from .pairs import (
     degree_of,
     futaki_gen,
     perturb,
+    properness_slope_check,
     relative_invariant,
     stable,
     t_semistable,
@@ -59,7 +60,6 @@ from .energy import (
     energy_at,
     infimum_estimate,
     kempf_ness_distance,
-    properness_slope_check,
 )
 from .binary_forms import (
     BinaryForm,

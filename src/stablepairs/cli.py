@@ -4,7 +4,7 @@ Problems arrive as JSON files; every subcommand prints a machine-readable
 JSON verdict on standard output.  Rationals travel as "p/q" strings so no
 precision is lost in transport.  Exit codes: 0 for semistable / stable /
 true, 1 for unstable / false (with the witness in the JSON), 2 for input
-errors.
+errors, 3 for internal failures (with the JSON `error`).
 
 Problem file schema:
 
@@ -47,6 +47,7 @@ from .varieties import VarietyDatum, degrees
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(Exception):
@@ -66,6 +67,8 @@ def parse_weighted_vector(obj: Any) -> WeightedVector:
 
 
 def parse_problem(obj: Any) -> Pair:
+    if not isinstance(obj, dict):
+        raise InputError("a problem must be a JSON object")
     try:
         rank = int(obj["rank"])
         constraints = [lattice_point(c) for c in obj.get("constraints", [])]
@@ -76,7 +79,7 @@ def parse_problem(obj: Any) -> Pair:
         v = parse_weighted_vector(obj["v"])
         w = parse_weighted_vector(obj["w"])
         return Pair(v, w, problem)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -357,12 +360,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError, OverflowError) as exc:
         _emit({"error": str(exc)})
         return EXIT_ERROR
-    except ValueError as exc:
-        _emit({"error": str(exc)})
-        return EXIT_ERROR
+    except Exception as exc:
+        _emit({"error": f"{type(exc).__name__}: {exc}"})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ between the translated pair point and the translated v-only point, grows
 along a one-parameter subgroup with slope equal to the generalized Futaki
 number, and is bounded below exactly when the pair is semistable.
 
-This is the one floating-point module; every verdict-bearing decision it
-touches (the boundedness dichotomy, the properness slope inequality) is
-delegated to exact integer arithmetic.
+This is the one floating-point module; the verdict it touches, the
+boundedness dichotomy, is delegated to the exact `t_semistable`, and the
+exact slope form of the properness inequality lives in `pairs`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 
 from .lattice import require_admissible
 from . import linalg
-from .pairs import Pair, WeightedVector, t_semistable, weight
-from .polytope import certificate_normals, min_functional
+from .pairs import Pair, WeightedVector, t_semistable
+from .polytope import certificate_normals
 
 _CONSTRAINT_TOL = 1e-9
 
@@ -171,17 +171,3 @@ def infimum_estimate(
                 best = min(best, energy_at(p, s))
     return best
 
-
-def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
-    """Slope form of the properness inequality along u, exact in integers.
-
-    Along the one-parameter subgroup of u the coercive estimate for the
-    degree-m perturbation amounts to
-
-        (m+1) * weight(u, w)  <=  q * min over the reference polytope + m * weight(u, v).
-    """
-    cons = p.problem.constraints
-    require_admissible(u, cons)
-    lhs = (m + 1) * weight(u, p.w, cons)
-    rhs = q * min_functional(p.problem.q_polytope, u) + m * weight(u, p.v, cons)
-    return lhs <= rhs

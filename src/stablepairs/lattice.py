@@ -31,7 +31,7 @@ def lattice_point(coords: Iterable[Scalar]) -> LatticePoint:
             if c.denominator != 1:
                 raise ValueError(f"non-integral lattice coordinate {c}")
             c = c.numerator
-        elif not isinstance(c, int):
+        elif isinstance(c, bool) or not isinstance(c, int):
             raise ValueError(f"non-integer lattice coordinate {c!r}")
         out.append(int(c))
     return tuple(out)
@@ -82,6 +82,3 @@ def clear_denominators(g: Sequence[Scalar]) -> OnePS:
         g0 = gcd(g0, c)
     return tuple(c // g0 for c in ints)
 
-
-def as_fractions(v: Sequence[Scalar]) -> RationalFunctional:
-    return tuple(Fraction(c) for c in v)

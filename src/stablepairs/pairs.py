@@ -6,7 +6,8 @@ directions of the ambient problem.  Unstable verdicts carry a
 destabilizing one-parameter subgroup whose weight gap certifies the
 verdict; semistable ones can be asked for a relative-invariant monomial
 certificate.  Strict stability perturbs the pair by the reference polytope
-and a tensor exponent and asks the same question.
+and a tensor exponent; the answers are read off certificate normals, where
+the question is one integer inequality linear in the exponent.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import linalg
 from .polytope import (
     ContainmentContext,
     PointSet,
+    certificate_normals,
     convex_combination,
     hull_contains,
     interior_contains,
@@ -262,13 +264,16 @@ def t_semistable(p: Pair) -> Verdict:
 def degree_of(v: WeightedVector, problem: StabilityProblem) -> int:
     """Least k >= 1 with the weight polytope of v inside k times the reference.
 
-    Finite because the reference polytope has 0 interior and is
-    full-dimensional modulo the constraints.
+    Each certificate normal u of the reference Q has min_Q(u) < 0 (0 is
+    interior) and asks k >= min_v(u) / min_Q(u); one LP check confirms.
     """
     ctx = problem.ctx
+    q_poly = problem.q_polytope
     k = 1
-    while not hull_contains(scale(problem.q_polytope, k), v.support, ctx):
-        k += 1
+    for u in certificate_normals(q_poly, ctx):
+        k = max(k, -(min_functional(v.support, u) // -min_functional(q_poly, u)))
+    if not hull_contains(scale(q_poly, k), v.support, ctx):
+        raise RuntimeError("internal: module degree failed its containment check")
     return k
 
 
@@ -289,12 +294,30 @@ def perturb(p: Pair, m: int, q: int | None = None) -> Pair:
     return Pair(WeightedVector(v_support), WeightedVector(w_support), p.problem)
 
 
-def stable(p: Pair, m_max: int) -> StableVerdict:
-    """Search for the least perturbation exponent making the pair semistable.
+def _slope_terms(p: Pair, q: int, u: Sequence[int]) -> tuple[int, int]:
+    """(a, b) with futaki_gen(u, perturb(p, m, q)) == a * m + b for every m."""
+    cons = p.problem.constraints
+    w_u = weight(u, p.w, cons)
+    return w_u - weight(u, p.v, cons), w_u - q * min_functional(p.problem.q_polytope, u)
 
-    Stability implies semistability, so a destabilized base pair short
-    circuits.  Semistability of the perturbation is monotone in the
-    exponent, hence a linear scan finds the minimal one.
+
+def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
+    """Slope form of the properness inequality along u, exact in integers:
+    the coercive estimate for the degree-m perturbation amounts to
+
+        (m+1) * weight(u, w)  <=  q * min over the reference polytope + m * weight(u, v).
+    """
+    a, b = _slope_terms(p, q, u)
+    return a * m + b <= 0
+
+
+def stable(p: Pair, m_max: int) -> StableVerdict:
+    """Least perturbation exponent, up to m_max, making the pair semistable.
+
+    A destabilized base short circuits.  Otherwise each certificate normal
+    u of the w-polytope asks a * m + b <= 0 with a <= 0 (`_slope_terms`):
+    a = 0 < b rules out every m, a < 0 needs m >= b / -a.  The largest
+    bound is the least exponent; one containment check confirms it.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -302,10 +325,18 @@ def stable(p: Pair, m_max: int) -> StableVerdict:
     if not base.semistable:
         return StableVerdict.unstable_base(base.witness)
     q = degree_of(p.v, p.problem)
-    for m in range(1, m_max + 1):
-        if t_semistable(perturb(p, m, q)).semistable:
-            return StableVerdict.stable(m)
-    return StableVerdict.not_stable_up_to(m_max)
+    e = 1
+    for u in certificate_normals(p.w.support, p.problem.ctx):
+        a, b = _slope_terms(p, q, u)
+        if a == 0 and b > 0:
+            return StableVerdict.not_stable_up_to(m_max)  # never stable
+        if a < 0:
+            e = max(e, -(b // a))
+    if e > m_max:
+        return StableVerdict.not_stable_up_to(m_max)
+    if not t_semistable(perturb(p, e, q)).semistable:
+        raise RuntimeError("internal: stability exponent failed its containment check")
+    return StableVerdict.stable(e)
 
 
 def futaki_gen(u: Sequence[int], p: Pair) -> int:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .lattice import Scalar, require_admissible
-from .pairs import Pair, StabilityProblem, WeightedVector, weight
-from .polytope import min_functional, scale
+from .lattice import Scalar
+from .pairs import Pair, StabilityProblem, WeightedVector, properness_slope_check
+from .polytope import scale
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,8 @@ def mabuchi_weight_inequality(
 
         (m+1) (w_u(W) - w_u(V))  <=  deg_e * w_u(identity) - w_u(V),
 
-    where the identity weight is the minimum of u over the reference
-    polytope.  Holding for every certificate normal is the same as
-    semistability of the matching perturbed pair.
+    where w_u(identity) = min_Q(u): `properness_slope_check` of the
+    normalized pair with q = deg_e.  Holding for every certificate normal
+    is the same as semistability of the matching perturbed pair.
     """
-    cons = problem.constraints
-    require_admissible(u, cons)
-    w_v = report.deg_hyperdiscriminant * weight(u, r_data, cons)
-    w_w = report.deg_resultant * weight(u, delta_data, cons)
-    w_id = min_functional(problem.q_polytope, u)
-    return (m + 1) * (w_w - w_v) <= deg_e * w_id - w_v
+    return properness_slope_check(variety_pair(r_data, delta_data, report, problem), m, deg_e, u)

@@ -2,8 +2,10 @@
 
 The oracles here are deliberately independent of the package internals:
 they carry their own Gaussian elimination and decide containment by
-enumerating candidate half-spaces from point subsets, never by LP.  They
-are the ground truth the LP-based answers are measured against.
+enumerating candidate half-spaces from point subsets, never by LP or by
+double description.  They are the ground truth the LP-based answers and
+the closed forms read off certificate normals are measured against.
+`facet_weight_semistable` is the one package-side criterion path here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,15 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from stablepairs import Pair, PointSet, StabilityProblem, WeightedVector, cross_polytope
+from stablepairs import (
+    Pair,
+    PointSet,
+    StabilityProblem,
+    WeightedVector,
+    certificate_normals,
+    cross_polytope,
+    futaki_gen,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +155,46 @@ def brute_hull_contains(A, B, directions=()):
         if min(_o_dot(h, b) for b in coords_b) < v0:
             return False
     return True
+
+
+def _o_scale(points, k):
+    return [tuple(k * c for c in p) for p in points]
+
+
+def scan_degree(V, Q, directions=()):
+    """Least k >= 1 with conv(V) inside k conv(Q) modulo the directions,
+    by scanning k = 1, 2, ... with the half-space oracle."""
+    k = 1
+    while not brute_hull_contains(_o_scale(Q, k), V, directions):
+        k += 1
+    return k
+
+
+def scan_stable(p, m_max):
+    """`stable` by scanning m = 1, ..., m_max with the half-space oracle.
+
+    Returns (status, exponent).  The degree-m perturbation is semistable
+    iff q conv(Q) + m conv(V) lies in (m+1) conv(W) modulo the
+    constraints, q being the scanned module degree of V.
+    """
+    cons = p.problem.constraints
+    V, W = p.v.support.points, p.w.support.points
+    if not brute_hull_contains(W, V, cons):
+        return "unstable_base", None
+    Q = p.problem.q_polytope.points
+    q = scan_degree(V, Q, cons)
+    for m in range(1, m_max + 1):
+        sums = {tuple(q * x + m * y for x, y in zip(a, b)) for a in Q for b in V}
+        if brute_hull_contains(_o_scale(W, m + 1), sums, cons):
+            return "stable", m
+    return "not_stable_up_to", None
+
+
+def facet_weight_semistable(p: Pair) -> bool:
+    """Criterion path through the package: the generalized Futaki number
+    must be nonpositive on every certificate normal of the w-polytope."""
+    normals = certificate_normals(p.w.support, p.problem.ctx)
+    return all(futaki_gen(u, p) <= 0 for u in normals)
 
 
 def _o_left_inverse(rows):

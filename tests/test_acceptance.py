@@ -17,7 +17,6 @@ from stablepairs import (
     WeightedVector,
     affine_span_test,
     asymptotic_slope,
-    certificate_normals,
     degree_of,
     degrees,
     energy_at,
@@ -42,6 +41,7 @@ from stablepairs.linalg import in_span
 from helpers import (
     box_search_degeneration,
     brute_hull_contains,
+    facet_weight_semistable,
     random_binary_form,
     random_pair,
 )
@@ -53,11 +53,6 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
         line += f"  [{detail}]"
     print(line)
     assert ok, line
-
-
-def facet_weight_semistable(p: Pair) -> bool:
-    normals = certificate_normals(p.w.support, p.problem.ctx)
-    return all(futaki_gen(u, p) <= 0 for u in normals)
 
 
 # Instances shared between criteria 1-3 and 9.

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import stablepairs.cli
 from stablepairs import Pair, StabilityProblem, WeightedVector
 from stablepairs.cli import main, parse_problem, serialize_pair
 
@@ -99,6 +105,57 @@ class TestCheck:
         code, payload = run(capsys, "check", str(bad))
         assert code == 2
 
+    def test_top_level_list_is_a_plain_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        code, payload = run(capsys, "check", str(bad))
+        assert code == 2
+        assert payload == {"error": "a problem must be a JSON object"}
+
+    def test_bool_coordinates_rejected(self, capsys, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text(
+            json.dumps({"rank": 2, "v": {"support": [[True, 0]]}, "w": {"support": [[1, 0]]}})
+        )
+        code, payload = run(capsys, "check", str(bad))
+        assert code == 2
+        assert "True" in payload["error"]
+
+    def test_zero_denominator_magnitude_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "zero.json"
+        bad.write_text(
+            json.dumps({"rank": 1, "v": {"support": [[0]], "magnitudes": ["1/0"]},
+                        "w": {"support": [[0]]}})
+        )
+        code, payload = run(capsys, "check", str(bad))
+        assert code == 2
+
+
+class TestExitCodes:
+    def test_overflowing_magnitude_is_input_error(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(
+            json.dumps(
+                {
+                    "rank": 2,
+                    "v": {"support": [[0, 0]], "magnitudes": ["1e400"]},
+                    "w": {"support": [[0, 0], [1, 0]]},
+                }
+            )
+        )
+        code, payload = run(capsys, "energy", str(big), "--ops", "1,0", "--slope")
+        assert code == 2
+        assert "error" in payload
+
+    def test_internal_failure_has_its_own_code(self, capsys, monkeypatch, semistable_file):
+        def broken(pair):
+            raise RuntimeError("internal: simulated")
+
+        monkeypatch.setattr(stablepairs.cli, "t_semistable", broken)
+        code, payload = run(capsys, "check", semistable_file)
+        assert code == 3
+        assert payload == {"error": "RuntimeError: internal: simulated"}
+
 
 class TestStableCommand:
     def test_stable(self, capsys, stable_file):
@@ -115,6 +172,16 @@ class TestStableCommand:
         code, payload = run(capsys, "stable", unstable_file)
         assert code == 1
         assert payload["status"] == "unstable"
+
+    def test_never_stable_pair_with_a_huge_cap(self, capsys, tmp_path):
+        path = tmp_path / "never.json"
+        path.write_text(
+            json.dumps({"rank": 2, "v": {"support": [[0, 0]]},
+                        "w": {"support": [[0, 0], [1, 0]]}})
+        )
+        code, payload = run(capsys, "stable", str(path), "--max-m", "1000000000")
+        assert code == 1
+        assert payload == {"status": "not_stable_up_to", "m_max": 1000000000}
 
 
 class TestDestabilize:
@@ -269,3 +336,109 @@ class TestRoundTrip:
         rebuilt = parse_problem(serialize_pair(pair))
         assert rebuilt == pair
         assert serialize_pair(rebuilt) == serialize_pair(pair)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the CLI contract: exit code in {0, 1, 2, 3}, JSON out, no traceback.
+# Ranks and coordinates stay small: the CLI does not yet cap input-driven
+# work such as the size of the default reference polytope.
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_ODD_COORD = st.sampled_from([True, False, 0.5, 2.0, "1", None, [], "1/2"])
+_MAGNITUDE = st.integers(-1, 4) | st.sampled_from(
+    ["1", "2/3", "1e400", "1/0", "-1", "0", "nan", "inf", "x", 1.5, None, True, 10**400]
+)
+
+
+@st.composite
+def _problems(draw):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(_JUNK)
+    rank = draw(st.integers(1, 3))
+    odd = draw(st.integers(0, 7))  # mostly well-formed, one flaw at a time
+    coord = st.integers(-3, 3) | _ODD_COORD if odd == 0 else st.integers(-3, 3)
+    length = st.integers(rank - 1, rank + 1) if odd == 1 else st.just(rank)
+
+    def points(min_size=0):
+        return st.lists(
+            length.flatmap(lambda n: st.lists(coord, min_size=n, max_size=n)),
+            min_size=min_size,
+            max_size=5,
+        )
+
+    def vector():
+        support = draw(points(min_size=1))
+        out = {"support": support}
+        if draw(st.booleans()):
+            mags = st.integers(1, 4) | _MAGNITUDE if odd == 2 else st.integers(1, 4)
+            out["magnitudes"] = draw(st.lists(mags, min_size=len(support), max_size=len(support)))
+        return out
+
+    bad_rank = st.sampled_from([0, -1, "2", 2.5, True, None])
+    obj = {"rank": draw(bad_rank) if odd == 3 else rank, "v": vector(), "w": vector()}
+    if rank >= 2 and draw(st.booleans()):
+        obj["constraints"] = [[1] * rank]
+    if odd == 4:
+        obj["constraints"] = draw(points())
+    if odd == 5:
+        obj["Q"] = draw(points(min_size=1))
+    if odd == 6:
+        del obj[draw(st.sampled_from(["rank", "v", "w"]))]
+    return obj
+
+
+_TEXT = st.text(max_size=4)
+
+
+@st.composite
+def _requests(draw):
+    """A problem object and an argument list, the arguments mostly drawn
+    from the problem's own rank and support."""
+    problem = draw(_problems())
+    rank = problem.get("rank") if isinstance(problem, dict) else None
+    rank = rank if type(rank) is int and 1 <= rank <= 3 else draw(st.integers(1, 3))
+    try:
+        support = [p for p in problem["v"]["support"] if isinstance(p, list)]
+    except (KeyError, TypeError):
+        support = []
+    covector = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(
+        lambda u: ",".join(map(str, u))
+    )
+    chosen = st.lists(st.sampled_from(support), min_size=1, max_size=3) if support else st.just([])
+    command = draw(st.sampled_from(
+        ["check", "stable", "destabilize", "relinv", "limit", "extend", "energy", "futaki"]
+    ))
+    extra = []
+    if command == "stable":
+        extra = ["--max-m", str(draw(st.integers(-1, 10) | st.just(10**9)))]
+    elif command == "relinv":
+        chi = chosen.map(lambda pts: ",".join(map(str, pts[0])) if pts else "")
+        extra = ["--chi=" + draw(chi | covector | _TEXT)]
+    elif command in ("limit", "extend"):
+        extra = ["--target=" + draw(chosen.map(json.dumps) | _TEXT)]
+    elif command == "energy":
+        extra = ["--ops=" + draw(covector | _TEXT)]
+        extra += draw(st.lists(st.sampled_from(["--slope", "--infimum"]), max_size=2, unique=True))
+        if draw(st.booleans()):
+            extra += ["--at-t", draw(st.sampled_from(["0.5", "1", "0", "2", "nan", "x"]))]
+    return problem, [command, *extra]
+
+
+@settings(max_examples=150, deadline=None)
+@given(request=_requests())
+def test_cli_contract_under_fuzzing(request):
+    problem, argv = request
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "problem.json"
+        path.write_text(json.dumps(problem))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    for line in out.getvalue().splitlines():
+        json.loads(line)

@@ -70,6 +70,8 @@ def test_lattice_point_rejects_non_integers():
         lattice_point((Fraction(1, 2),))
     with pytest.raises(ValueError):
         lattice_point((1.5,))
+    with pytest.raises(ValueError):
+        lattice_point((True, 0))
 
 
 def test_admissibility():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import stablepairs.linprog
+import stablepairs.pairs
+import stablepairs.polytope
 from stablepairs import (
     Pair,
     PointSet,
@@ -25,17 +27,16 @@ from stablepairs import (
     weight,
 )
 
-from helpers import brute_hull_contains, random_pair
+from helpers import (
+    brute_hull_contains,
+    facet_weight_semistable,
+    random_pair,
+    scan_degree,
+    scan_stable,
+)
 
 FREE2 = StabilityProblem.free(2)
 SL_LIKE = StabilityProblem(2, [(1, 1)], [(1, 0), (0, 1)])
-
-
-def facet_weight_semistable(p: Pair) -> bool:
-    """Independent criterion path: the generalized Futaki number must be
-    nonpositive on every certificate normal of the w-polytope."""
-    normals = certificate_normals(p.w.support, p.problem.ctx)
-    return all(futaki_gen(u, p) <= 0 for u in normals)
 
 
 class TestProblemValidation:
@@ -89,6 +90,20 @@ class TestWeight:
             weight((1, 0), WeightedVector([(1, 0)]), [(1, 1)])
 
 
+def _count_lps(monkeypatch):
+    """A list that grows by one per `solve_lp` call while the test runs."""
+    calls = []
+    solve_lp = stablepairs.linprog.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(stablepairs.linprog, "solve_lp", counting)
+    monkeypatch.setattr(stablepairs.polytope, "solve_lp", counting)
+    return calls
+
+
 class TestTSemistable:
     def test_vertex_containment(self):
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), FREE2)
@@ -112,14 +127,7 @@ class TestTSemistable:
         assert t_semistable(Pair(v, w, SL_LIKE)).semistable
 
     def test_one_lp_per_v_point_outside_the_w_support(self, monkeypatch):
-        calls = []
-        solve_lp = stablepairs.linprog.solve_lp
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
-        monkeypatch.setattr(stablepairs.linprog, "solve_lp", counting)
+        calls = _count_lps(monkeypatch)
         rng = random.Random(31)
         for _ in range(60):
             p = random_pair(rng)
@@ -199,6 +207,117 @@ class TestStable:
         wv = WeightedVector([(1, 0)])
         assert stable(Pair(wv, wv, prob_con), 4).status == StableVerdict.NOT_STABLE_UP_TO
         assert stable(Pair(wv, wv, FREE2), 4).status == StableVerdict.NOT_STABLE_UP_TO
+
+
+
+NEVER_STABLE = Pair(WeightedVector([(0, 0)]), WeightedVector([(0, 0), (1, 0)]), FREE2)
+# exponent 3, fixed by the normal (-1,) alone
+EXPONENT_THREE = Pair(
+    WeightedVector([(-2,)]), WeightedVector([(-3,), (-1,)]), StabilityProblem.free(1)
+)
+
+
+def _closed_form_instances(rng):
+    """(kind, pair) over ranks 1-4, free and constrained problems."""
+    for _ in range(70):
+        p = random_pair(rng, max_points=5, lo=-3, hi=3)
+        yield ("constrained" if p.problem.constraints else "free"), p
+    for _ in range(30):  # v inside a w-box: semistable, often stable at m > 1
+        rank = rng.randint(1, 4)
+        cons = [(1,) * rank] if rank >= 2 and rng.random() < 0.5 else []
+        w = {tuple(rng.choice((-3, 3)) for _ in range(rank)) for _ in range(2 ** rank)}
+        w |= {tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(2)}
+        v = {tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 3))}
+        yield "boxed", Pair(WeightedVector(v), WeightedVector(w), StabilityProblem(rank, cons))
+    for _ in range(10):  # 0 on a facet of w: semistable, never stable
+        rank = rng.randint(1, 3)
+        w = {(0,) * rank} | {
+            (rng.randint(0, 3),) + tuple(rng.randint(-3, 3) for _ in range(rank - 1))
+            for _ in range(rng.randint(1, 5))
+        }
+        yield "never", Pair(WeightedVector([(0,) * rank]), WeightedVector(w), StabilityProblem.free(rank))
+    for _ in range(20):  # a skewed reference polytope: min_Q(u) != -1
+        rank = rng.randint(1, 3)
+        q_pts = [tuple(s * rng.randint(1, 3) * (j == i) for j in range(rank))
+                 for i in range(rank) for s in (1, -1)]
+        q_pts += [tuple(rng.randint(-3, 3) for _ in range(rank))]
+        v = {tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(rng.randint(1, 2))}
+        w = {tuple(rng.randint(-5, 5) for _ in range(rank)) for _ in range(rng.randint(2, 5))}
+        prob = StabilityProblem.free(rank, q_pts)
+        yield "skewed", Pair(WeightedVector(v), WeightedVector(w | v), prob)
+    for _ in range(6):  # constraints spanning the lattice
+        rank = rng.randint(1, 2)
+        prob = StabilityProblem(rank, [(1,)] if rank == 1 else [(1, 0), (0, 1)], [(0,) * rank])
+        pts = [tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(2)]
+        yield "collapsed", Pair(WeightedVector([pts[0]]), WeightedVector([pts[1]]), prob)
+
+
+class TestClosedForms:
+    """`degree_of` and `stable` read their answers off certificate normals;
+    the k- and m-scans over the half-space oracle are the ground truth."""
+
+    def test_agree_with_scan_oracles(self):
+        rng = random.Random(8128)
+        seen = {}
+        above_one = 0
+        for kind, p in _closed_form_instances(rng):
+            cons = p.problem.constraints
+            q_pts = p.problem.q_polytope.points
+            assert degree_of(p.v, p.problem) == scan_degree(p.v.support.points, q_pts, cons)
+            m_max = 6
+            verdict = stable(p, m_max)
+            status, exponent = scan_stable(p, m_max)
+            assert (verdict.status, verdict.exponent) == (status, exponent)
+            if status == StableVerdict.UNSTABLE_BASE:
+                u = verdict.witness
+                assert weight(u, p.w, cons) > weight(u, p.v, cons)
+            if status == StableVerdict.NOT_STABLE_UP_TO:
+                assert verdict.m_max == m_max
+            seen[kind, status] = seen.get((kind, status), 0) + 1
+            above_one += bool(exponent and exponent > 1)
+        assert seen["never", StableVerdict.NOT_STABLE_UP_TO] == 10
+        assert seen["collapsed", StableVerdict.STABLE] == 6
+        for kind in ("free", "constrained"):
+            assert seen.get((kind, StableVerdict.UNSTABLE_BASE), 0) >= 5
+        assert seen.get(("boxed", StableVerdict.STABLE), 0) >= 10
+        assert seen.get(("skewed", StableVerdict.STABLE), 0) >= 3
+        assert sum(n for (_, s), n in seen.items() if s == StableVerdict.STABLE) >= 20
+        assert above_one >= 3
+
+    def test_exponent_above_one(self):
+        assert stable(EXPONENT_THREE, 3) == StableVerdict.stable(3)
+        assert stable(EXPONENT_THREE, 2) == StableVerdict.not_stable_up_to(2)
+        assert scan_stable(EXPONENT_THREE, 3) == (StableVerdict.STABLE, 3)
+
+    def test_lp_count_does_not_grow_with_m_max(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        rng = random.Random(5)
+        pairs = [NEVER_STABLE, EXPONENT_THREE] + [
+            random_pair(rng, max_points=5, lo=-3, hi=3) for _ in range(30)
+        ]
+        assert stable(NEVER_STABLE, 10**9) == StableVerdict.not_stable_up_to(10**9)
+        compared = 0
+        for p in pairs:
+            counts = []
+            for m_max in (4, 10**9):
+                calls.clear()
+                verdict = stable(p, m_max)
+                counts.append(len(calls))
+            if verdict.is_stable and verdict.exponent > 4:
+                continue  # stable(p, 4) stops before the confirming check
+            assert counts[0] == counts[1]
+            compared += 1
+        assert compared >= 25
+
+    def test_dropped_normal_is_caught(self, monkeypatch):
+        real = stablepairs.pairs.certificate_normals
+        monkeypatch.setattr(
+            stablepairs.pairs, "certificate_normals", lambda A, ctx: real(A, ctx)[1:]
+        )
+        with pytest.raises(RuntimeError):
+            stable(EXPONENT_THREE, 10)
+        with pytest.raises(RuntimeError):
+            degree_of(WeightedVector([(2, 1)]), FREE2)
 
 
 class TestCollapsedQuotient:
