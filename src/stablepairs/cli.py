@@ -17,6 +17,8 @@ Problem file schema:
     }
 
 `magnitudes` is optional (defaults to all ones) and parallel to `support`.
+`rank` is a JSON integer of at most `MAX_RANK`; a larger rank is refused
+before any work, since the default reference polytope grows with it.
 """
 
 from __future__ import annotations
@@ -49,19 +51,35 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 EXIT_INTERNAL = 3
 
+# A problem without `Q` builds the cross-polytope of its rank and checks it
+# with an LP over 2 * rank points: about 1 s at rank 16, a minute at rank 80.
+MAX_RANK = 16
+
 
 class InputError(Exception):
     pass
 
 
+def _field(obj: dict, name: str) -> Any:
+    if name not in obj:
+        raise InputError(f"missing field {name!r}")
+    return obj[name]
+
+
+def _list(value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{name!r} must be a list")
+    return value
+
+
 def parse_weighted_vector(obj: Any) -> WeightedVector:
-    if not isinstance(obj, dict) or "support" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("support"), list):
         raise InputError("vector entries need a 'support' list")
     support = [lattice_point(p) for p in obj["support"]]
     mags = obj.get("magnitudes")
     if mags is None:
         return WeightedVector(support)
-    if len(mags) != len(support):
+    if len(_list(mags, "magnitudes")) != len(support):
         raise InputError("magnitudes must be parallel to the support")
     return WeightedVector(support, [Fraction(str(m)) for m in mags])
 
@@ -69,17 +87,21 @@ def parse_weighted_vector(obj: Any) -> WeightedVector:
 def parse_problem(obj: Any) -> Pair:
     if not isinstance(obj, dict):
         raise InputError("a problem must be a JSON object")
+    rank = _field(obj, "rank")
+    if type(rank) is not int:
+        raise InputError(f"'rank' must be an integer, not {json.dumps(rank, default=str)}")
+    if rank > MAX_RANK:
+        raise InputError(f"rank {rank} is above the cap of {MAX_RANK}")
     try:
-        rank = int(obj["rank"])
-        constraints = [lattice_point(c) for c in obj.get("constraints", [])]
+        constraints = [lattice_point(c) for c in _list(obj.get("constraints", []), "constraints")]
         q_points = obj.get("Q")
         problem = StabilityProblem(
-            rank, constraints, PointSet(q_points) if q_points else None
+            rank, constraints, PointSet(_list(q_points, "Q")) if q_points else None
         )
-        v = parse_weighted_vector(obj["v"])
-        w = parse_weighted_vector(obj["w"])
+        v = parse_weighted_vector(_field(obj, "v"))
+        w = parse_weighted_vector(_field(obj, "w"))
         return Pair(v, w, problem)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
 
 

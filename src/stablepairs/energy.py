@@ -13,6 +13,13 @@ number, and is bounded below exactly when the pair is semistable.
 This is the one floating-point module; the verdict it touches, the
 boundedness dichotomy, is delegated to the exact `t_semistable`, and the
 exact slope form of the properness inequality lives in `pairs`.
+
+`infimum_estimate` probes the energy only along lines s0 + t d.  Per line
+each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope
+2<d, a>, so a probe is one log-sum-exp per side.  The pairings with each
+direction d are exact (integers or `Fraction`s) and rounded to float once;
+each direction is checked admissible once, exactly, instead of the float
+check `energy_at` makes on every torus element.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lattice import require_admissible
+from .lattice import Scalar, dot, require_admissible
 from . import linalg
 from .pairs import Pair, WeightedVector, t_semistable
 from .polytope import certificate_normals
@@ -56,14 +63,56 @@ def _check_torus_element(p: Pair, s: Sequence[float]) -> tuple[float, ...]:
     return coords
 
 
+def _log_sum_exp(terms: list[float]) -> float:
+    # log sum exp(terms), stabilized against overflow.
+    m = max(terms)
+    return m + math.log(sum(map(math.exp, [t - m for t in terms])))
+
+
 def _log_norm_sq(vec: WeightedVector, s: Sequence[float]) -> float:
-    # log sum |coeff|^2 exp(2<s, a>), stabilized against overflow.
-    terms = [
+    # log sum |coeff|^2 exp(2<s, a>)
+    return _log_sum_exp([
         log_mag + 2.0 * sum(si * ai for si, ai in zip(s, a))
         for a, log_mag in zip(vec.support.points, vec.log_magnitudes)
-    ]
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
+    ])
+
+
+# Per side (w, then v), one float per support point.
+_Sides = tuple[list[float], list[float]]
+
+
+def _pairings(p: Pair, d: Sequence[Scalar]) -> _Sides:
+    """2<d, a> for the support points a of w and of v, exact, then rounded once.
+
+    The pairings are integer ones of den * d, divided by den in one correctly
+    rounded step.  This is where a direction is checked: exactly, against
+    the constraints.
+    """
+    den = math.lcm(*(x.denominator for x in d))
+    num = [x.numerator * (den // x.denominator) for x in d]
+    require_admissible(num, p.problem.constraints)
+    return tuple(
+        [2 * dot(num, a) / den for a in vec.support.points] for vec in (p.w, p.v)
+    )
+
+
+def _line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides):
+    """The energy along s0 + t d as a function of t.
+
+    s0 is the sum of c * d_j over `shift`, given as pairs (c, pairings of
+    d_j); d is given by its pairings.  The bases log|c_a|^2 + 2<s0, a> are
+    summed once, so a probe costs one log-sum-exp per side.
+    """
+    bases = [list(p.w.log_magnitudes), list(p.v.log_magnitudes)]
+    for c, sides in shift:
+        bases = [[b + c * k for b, k in zip(base, side)] for base, side in zip(bases, sides)]
+    (bw, bv), (kw, kv) = bases, along
+
+    def energy(t: float) -> float:
+        return (_log_sum_exp([b + t * k for b, k in zip(bw, kw)])
+                - _log_sum_exp([b + t * k for b, k in zip(bv, kv)]))
+
+    return energy
 
 
 def energy_at(p: Pair, s: TorusElement | Sequence[float]) -> float:
@@ -130,44 +179,39 @@ def infimum_estimate(
     """Upper estimate of the infimum of the energy over the torus, or -inf.
 
     The unbounded case is decided exactly: the energy is unbounded below
-    iff the pair is torus-unstable.  Otherwise coordinate descent over the
+    iff the pair is torus-unstable.  Otherwise the estimate starts from the
+    energy at the identity; coordinate descent over a basis of the
     admissible log-moduli subspace, refined by ray probes along the
-    certificate normals of the w-polytope, returns a finite upper bound.
+    certificate normals of the w-polytope, lowers it to a finite upper
+    bound.  Every probe lies on a line s0 + t d whose pairings are set up
+    once (see the module docstring), and every direction d, a basis vector
+    or a normal, is checked admissible exactly.
     """
     if not t_semistable(p).semistable:
         return -math.inf
     rank = p.problem.rank
-    basis = [
-        [float(c) for c in vec]
-        for vec in linalg.nullspace(p.problem.constraints, rank)
-    ]
+    best = energy_at(p, [0.0] * rank)
+    basis = [_pairings(p, e) for e in linalg.nullspace(p.problem.constraints, rank)]
     if not basis:
-        return energy_at(p, [0.0] * rank)
-
-    def at(coeffs: Sequence[float]) -> float:
-        s = [sum(c * e[i] for c, e in zip(coeffs, basis)) for i in range(rank)]
-        return energy_at(p, s)
-
+        return best
     coeffs = [0.0] * len(basis)
-    best = at(coeffs)
     for _ in range(sweeps):
-        for k in range(len(basis)):
+        for k, along in enumerate(basis):
+            shift = [(c, e) for j, (c, e) in enumerate(zip(coeffs, basis)) if j != k]
+            energy = _line(p, shift, along)
             lo, hi = coeffs[k] - bracket, coeffs[k] + bracket
             for _ in range(40):
                 m1 = lo + (hi - lo) / 3
                 m2 = hi - (hi - lo) / 3
-                c1 = coeffs[:k] + [m1] + coeffs[k + 1:]
-                c2 = coeffs[:k] + [m2] + coeffs[k + 1:]
-                if at(c1) <= at(c2):
+                if energy(m1) <= energy(m2):
                     hi = m2
                 else:
                     lo = m1
             coeffs[k] = (lo + hi) / 2
-            best = min(best, at(coeffs))
+            best = min(best, energy(coeffs[k]))
     for u in certificate_normals(p.w.support, p.problem.ctx):
+        energy = _line(p, (), _pairings(p, u))
         for tau in (0.25, 0.5, 1.0, 2.0, 4.0, ray_reach):
             for sign in (1.0, -1.0):
-                s = [sign * tau * ui for ui in u]
-                best = min(best, energy_at(p, s))
+                best = min(best, energy(sign * tau))
     return best
-

@@ -92,6 +92,11 @@ class StabilityProblem:
         object.__setattr__(self, "q_polytope", q_polytope)
         object.__setattr__(self, "ctx", ctx)
 
+    @cached_property
+    def q_normals(self) -> tuple[OnePS, ...]:
+        """Certificate normals of the reference polytope, computed once."""
+        return certificate_normals(self.q_polytope, self.ctx)
+
     @classmethod
     def special_linear(cls, n: int) -> "StabilityProblem":
         """SL(n+1) convention: rank n+1, trace-zero constraint, simplex reference."""
@@ -264,13 +269,14 @@ def t_semistable(p: Pair) -> Verdict:
 def degree_of(v: WeightedVector, problem: StabilityProblem) -> int:
     """Least k >= 1 with the weight polytope of v inside k times the reference.
 
-    Each certificate normal u of the reference Q has min_Q(u) < 0 (0 is
-    interior) and asks k >= min_v(u) / min_Q(u); one LP check confirms.
+    Each certificate normal u of the reference Q (cached on the problem)
+    has min_Q(u) < 0 (0 is interior) and asks k >= min_v(u) / min_Q(u);
+    one LP check confirms.
     """
     ctx = problem.ctx
     q_poly = problem.q_polytope
     k = 1
-    for u in certificate_normals(q_poly, ctx):
+    for u in problem.q_normals:
         k = max(k, -(min_functional(v.support, u) // -min_functional(q_poly, u)))
     if not hull_contains(scale(q_poly, k), v.support, ctx):
         raise RuntimeError("internal: module degree failed its containment check")

@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from stablepairs import (
     Pair,
     PointSet,
@@ -79,6 +81,7 @@ def verdict_of(idx, p):
     return _VERDICTS[idx]
 
 
+@pytest.mark.slow
 def test_criterion_01_equivalence_of_the_three_decision_paths():
     start = time.perf_counter()
     disagreements = 0
@@ -247,6 +250,7 @@ def test_criterion_06_energy_equals_log_tan_square_distance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_degeneration_round_trip_and_box_consistency():
     rng = random.Random(0x81C4A2)
     successes = infeasible = bad_round_trip = box_beats_lp = 0

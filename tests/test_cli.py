@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import stablepairs.cli
 from stablepairs import Pair, StabilityProblem, WeightedVector
-from stablepairs.cli import main, parse_problem, serialize_pair
+from stablepairs.cli import MAX_RANK, main, parse_problem, serialize_pair
 
 
 @pytest.fixture
@@ -129,6 +129,63 @@ class TestCheck:
         )
         code, payload = run(capsys, "check", str(bad))
         assert code == 2
+
+
+_POINT = {"support": [[0, 0]]}
+
+
+class TestProblemFields:
+    """Malformed problem fields are plain input errors (exit 2)."""
+
+    def check_error(self, capsys, tmp_path, problem):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        code, payload = run(capsys, "check", str(path))
+        assert code == 2
+        return payload["error"]
+
+    @pytest.mark.parametrize(
+        "rank", [2.7, True, "2", 2.0], ids=["float", "bool", "string", "whole_float"]
+    )
+    def test_rank_must_be_a_json_integer(self, capsys, tmp_path, rank):
+        error = self.check_error(capsys, tmp_path, {"rank": rank, "v": _POINT, "w": _POINT})
+        assert error.startswith("'rank' must be an integer, not ")
+
+    def test_null_rank(self, capsys, tmp_path):
+        error = self.check_error(capsys, tmp_path, {"rank": None, "v": _POINT, "w": _POINT})
+        assert error == "'rank' must be an integer, not null"
+
+    @pytest.mark.parametrize("field", ["rank", "v", "w"])
+    def test_missing_field(self, capsys, tmp_path, field):
+        problem = {"rank": 2, "v": _POINT, "w": _POINT}
+        del problem[field]
+        assert self.check_error(capsys, tmp_path, problem) == f"missing field '{field}'"
+
+    def test_constraints_must_be_a_list(self, capsys, tmp_path):
+        problem = {"rank": 2, "constraints": 3, "v": _POINT, "w": _POINT}
+        assert self.check_error(capsys, tmp_path, problem) == "'constraints' must be a list"
+
+    def test_magnitudes_must_be_a_list(self, capsys, tmp_path):
+        problem = {"rank": 2, "v": {"support": [[0, 0]], "magnitudes": 3}, "w": _POINT}
+        assert self.check_error(capsys, tmp_path, problem) == "'magnitudes' must be a list"
+
+    def test_rank_above_the_cap_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = stablepairs.pairs.interior_contains
+        monkeypatch.setattr(
+            stablepairs.pairs, "interior_contains", lambda *a: calls.append(a) or real(*a)
+        )
+        point = {"support": [[0] * 40]}
+        error = self.check_error(capsys, tmp_path, {"rank": 40, "v": point, "w": point})
+        assert calls == []
+        assert str(stablepairs.cli.MAX_RANK) in error and "cap" in error
+
+    def test_rank_at_the_cap_is_accepted(self, capsys, tmp_path):
+        point = {"support": [[0] * MAX_RANK]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"rank": MAX_RANK, "v": point, "w": point}))
+        code, payload = run(capsys, "check", str(path))
+        assert (code, payload) == (0, {"status": "semistable"})
 
 
 class TestExitCodes:
@@ -340,8 +397,8 @@ class TestRoundTrip:
 
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI contract: exit code in {0, 1, 2, 3}, JSON out, no traceback.
-# Ranks and coordinates stay small: the CLI does not yet cap input-driven
-# work such as the size of the default reference polytope.
+# Ranks above the cap (17-80) must exit 2; the CLI does not yet cap other
+# input-driven work, so accepted ranks and coordinates stay small.
 
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
@@ -358,7 +415,7 @@ _MAGNITUDE = st.integers(-1, 4) | st.sampled_from(
 def _problems(draw):
     if draw(st.integers(0, 7)) == 0:
         return draw(_JUNK)
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3) if draw(st.integers(0, 7)) else st.integers(17, 80))
     odd = draw(st.integers(0, 7))  # mostly well-formed, one flaw at a time
     coord = st.integers(-3, 3) | _ODD_COORD if odd == 0 else st.integers(-3, 3)
     length = st.integers(rank - 1, rank + 1) if odd == 1 else st.just(rank)
@@ -439,6 +496,9 @@ def test_cli_contract_under_fuzzing(request):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2, 3)
+    rank = problem.get("rank") if isinstance(problem, dict) else None
+    if type(rank) is int and rank > MAX_RANK:
+        assert code == 2
     assert "Traceback" not in out.getvalue() + err.getvalue()
     for line in out.getvalue().splitlines():
         json.loads(line)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import stablepairs.energy
 from stablepairs import (
     Pair,
+    PointSet,
     StabilityProblem,
     TorusElement,
     WeightedVector,
@@ -22,7 +24,9 @@ from stablepairs import (
     t_semistable,
 )
 
-from helpers import random_pair
+from stablepairs.linalg import nullspace
+
+from helpers import random_magnitudes, random_pair, random_problem, random_support
 
 FREE1 = StabilityProblem.free(1)
 FREE2 = StabilityProblem.free(2)
@@ -220,3 +224,90 @@ class TestPropernessSlope:
             normals |= set(certificate_normals(pert.v.support, p.problem.ctx))
             by_slopes = all(properness_slope_check(p, m, q, u) for u in normals)
             assert by_slopes == t_semistable(pert).semistable
+
+
+_RAY_TAUS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def semistable_pairs(seed: int, count: int) -> list[Pair]:
+    """Seeded weighted pairs of ranks 1-4, free and trace-zero, semistable
+    because the v-support is a subset of the w-support."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        rank = 1 + i % 4
+        w = random_support(rng, rank, max_points=7, lo=-3, hi=3)
+        v = PointSet(rng.sample(w.points, rng.randint(1, len(w.points))))
+        out.append(Pair(WeightedVector(v, random_magnitudes(rng, v)),
+                        WeightedVector(w, random_magnitudes(rng, w)),
+                        random_problem(rng, rank)))
+    return out
+
+
+class TestLineKernel:
+    """The lines infimum_estimate probes, against energy_at at the same element."""
+
+    def test_agrees_with_energy_at(self):
+        rng = random.Random(2024)
+        kinds = {(rank, constrained): 0 for rank in range(1, 5) for constrained in (False, True)}
+        for _ in range(160):
+            p = random_pair(rng, rank=rng.randint(1, 4), max_points=6, lo=-3, hi=3, weighted=True)
+            rank, cons = p.problem.rank, p.problem.constraints
+            basis = nullspace(cons, rank)
+            kinds[rank, bool(cons)] += 1
+            shift = [(rng.uniform(-4, 4), e) for e in basis]
+            directions = basis + list(certificate_normals(p.w.support, p.problem.ctx))
+            d = rng.choice(directions)
+            energy = stablepairs.energy._line(
+                p,
+                [(c, stablepairs.energy._pairings(p, e)) for c, e in shift],
+                stablepairs.energy._pairings(p, d),
+            )
+            for t in (-8.0, -1.3, 0.0, 0.7, 5.0):
+                s = [sum(c * float(e[i]) for c, e in shift) + t * float(d[i])
+                     for i in range(rank)]
+                e = energy_at(p, s)
+                assert abs(energy(t) - e) <= 1e-12 * max(1.0, abs(e))
+        del kinds[1, True]  # rank 1 has no trace-zero problem with a nonzero direction
+        assert min(kinds.values()) >= 8
+
+    def test_inadmissible_direction_rejected_exactly(self):
+        p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]),
+                 StabilityProblem.special_linear(1))
+        with pytest.raises(ValueError):
+            stablepairs.energy._pairings(p, (1, 1))
+        with pytest.raises(ValueError):
+            stablepairs.energy._pairings(p, (Fraction(1, 3), Fraction(-1, 3) + Fraction(1, 10**30)))
+        d = (Fraction(1, 3), Fraction(-1, 3))
+        assert stablepairs.energy._pairings(p, d) == tuple(
+            [float(2 * (d[0] * a[0] + d[1] * a[1])) for a in vec.support.points]
+            for vec in (p.w, p.v)
+        )
+
+
+class TestInfimumEstimateProbes:
+    def test_calls_energy_at_at_most_once(self, monkeypatch):
+        calls = []
+        real = stablepairs.energy.energy_at
+        monkeypatch.setattr(
+            stablepairs.energy, "energy_at", lambda p, s: calls.append(s) or real(p, s)
+        )
+        for p in semistable_pairs(31, 24):
+            calls.clear()
+            infimum_estimate(p)
+            assert len(calls) <= 1
+
+    def test_below_identity_and_every_ray_probe(self):
+        pairs = semistable_pairs(32, 48)
+        assert sum(bool(p.problem.constraints) for p in pairs) >= 12
+        for p in pairs:
+            rank = p.problem.rank
+            est = infimum_estimate(p)
+            assert est <= energy_at(p, [0.0] * rank)
+            if not nullspace(p.problem.constraints, rank):
+                continue  # no admissible direction: no rays are probed
+            for u in certificate_normals(p.w.support, p.problem.ctx):
+                for tau in _RAY_TAUS:
+                    for sign in (1.0, -1.0):
+                        ray = energy_at(p, [sign * tau * ui for ui in u])
+                        assert est <= ray + 1e-9

@@ -154,6 +154,17 @@ class TestDegree:
         # (3, 1) is (1, -1)-ish modulo the diagonal: fits in 2Q but not Q
         assert degree_of(WeightedVector([(3, 1)]), prob) == 2
 
+    def test_reference_normals_computed_once_per_problem(self, monkeypatch):
+        prob = StabilityProblem.free(3)
+        real = stablepairs.pairs.certificate_normals
+        seen = []
+        monkeypatch.setattr(
+            stablepairs.pairs, "certificate_normals", lambda A, *a: seen.append(A) or real(A, *a)
+        )
+        assert degree_of(WeightedVector([(2, 1, 0)]), prob) == 3
+        assert degree_of(WeightedVector([(0, -3, 1)]), prob) == 4
+        assert sum(A is prob.q_polytope for A in seen) == 1
+
 
 class TestPerturb:
     def test_point_v_keeps_reference(self):
@@ -317,7 +328,8 @@ class TestClosedForms:
         with pytest.raises(RuntimeError):
             stable(EXPONENT_THREE, 10)
         with pytest.raises(RuntimeError):
-            degree_of(WeightedVector([(2, 1)]), FREE2)
+            # a fresh problem: FREE2 may already hold its reference normals
+            degree_of(WeightedVector([(2, 1)]), StabilityProblem.free(2))
 
 
 class TestCollapsedQuotient:
