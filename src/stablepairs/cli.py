@@ -19,6 +19,9 @@ Problem file schema:
 `magnitudes` is optional (defaults to all ones) and parallel to `support`.
 `rank` is a JSON integer of at most `MAX_RANK`; a larger rank is refused
 before any work, since the default reference polytope grows with it.
+`stable` and `energy --infimum` enumerate the facets of the w-support (and
+`stable` those of `Q`); a hull that could have too many is refused up front
+too (`MAX_HULL_WORK`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Any, Sequence
 
 from . import binary_forms, energy, futaki, limits
@@ -54,6 +58,14 @@ EXIT_INTERNAL = 3
 # A problem without `Q` builds the cross-polytope of its rank and checks it
 # with an LP over 2 * rank points: about 1 s at rank 16, a minute at rank 80.
 MAX_RANK = 16
+
+# `certificate_normals` enumerates facets by double description; its work
+# grows with the points n times the facets, and n points in dimension d can
+# have f(n, d) ~ n^(d/2) facets (rank 8 with 22 points has 3740).  A hull
+# with n * f(n, d) above the cap is refused; the slowest enumeration near
+# the cap seen on one core of an Intel Xeon took 0.84 s (36 points of the
+# moment curve in rank 5).
+MAX_HULL_WORK = 40_000
 
 
 class InputError(Exception):
@@ -103,6 +115,26 @@ def parse_problem(obj: Any) -> Pair:
         return Pair(v, w, problem)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
+
+
+def _max_facets(npoints: int, dim: int) -> int:
+    """Most facets a polytope with `npoints` vertices and dimension at most
+    `dim` can have: `npoints` up to dimension 2 or for a simplex, else those
+    of a cyclic polytope (the upper bound theorem, McMullen 1970)."""
+    return max([npoints] + [
+        comb(npoints - (d + 1) // 2, d // 2) + comb(npoints - d // 2 - 1, (d + 1) // 2 - 1)
+        for d in range(3, min(dim, npoints - 1) + 1)
+    ])
+
+
+def _require_bounded_hull(pair: Pair, name: str, points: PointSet) -> None:
+    n = len(points)
+    dim = pair.problem.rank - len(pair.problem.constraints)
+    if n * _max_facets(n, dim) > MAX_HULL_WORK:
+        raise InputError(
+            f"the hull of {name} ({n} points, dimension up to {dim}) is above the cap "
+            f"of {MAX_HULL_WORK} on points times facets"
+        )
 
 
 def serialize_pair(pair: Pair) -> dict:
@@ -173,6 +205,8 @@ def cmd_check(args) -> int:
 
 def cmd_stable(args) -> int:
     pair = load_pair(args.problem)
+    _require_bounded_hull(pair, "w", pair.w.support)
+    _require_bounded_hull(pair, "Q", pair.problem.q_polytope)
     verdict = stable(pair, args.max_m)
     if verdict.is_stable:
         _emit({"status": "stable", "exponent": verdict.exponent})
@@ -247,6 +281,8 @@ def cmd_extend(args) -> int:
 
 def cmd_energy(args) -> int:
     pair = load_pair(args.problem)
+    if args.infimum:
+        _require_bounded_hull(pair, "w", pair.w.support)
     u = _parse_covector(args.ops, pair.problem.rank)
     if not is_admissible(u, pair.problem.constraints):
         raise InputError(f"covector {u} violates the problem constraints")

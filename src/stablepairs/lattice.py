@@ -70,15 +70,10 @@ def clear_denominators(g: Sequence[Scalar]) -> OnePS:
     The multiplier is positive, so the direction of g is preserved.
     Raises on the zero functional, which has no primitive representative.
     """
-    fr = [Fraction(c) for c in g]
-    if all(c == 0 for c in fr):
+    fr = [c if type(c) is int else Fraction(c) for c in g]
+    if not any(fr):
         raise ValueError("cannot clear denominators of the zero functional")
-    mult = 1
-    for c in fr:
-        mult = lcm(mult, c.denominator)
-    ints = [int(c * mult) for c in fr]
-    g0 = 0
-    for c in ints:
-        g0 = gcd(g0, c)
+    mult = lcm(*{c.denominator for c in fr})
+    ints = [c.numerator * (mult // c.denominator) for c in fr]
+    g0 = gcd(*ints)
     return tuple(c // g0 for c in ints)
-

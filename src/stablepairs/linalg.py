@@ -1,49 +1,67 @@
 """Small dense exact linear algebra over the rationals.
 
-Everything here operates on lists of `Fraction` rows and is sized for the
-lattice ranks this package sees (single digits), not for bulk numerics.
+Inputs may mix `int` and `Fraction` entries; results are `Fraction`s.
+Elimination is fraction-free: the matrix is scaled to integers by the
+common denominator of its entries (`integral`), which leaves the reduced
+row echelon form unchanged, rows are combined in integers with Bareiss's
+exact division (Bareiss 1968), and each entry is divided once, at the end.
+Everything is sized for the lattice ranks this package sees (single
+digits), not for bulk numerics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 Rows = list[list[Fraction]]
 
 
-def _to_rows(rows: Sequence[Sequence]) -> Rows:
-    return [[Fraction(x) for x in row] for row in rows]
+def integral(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """The common denominator of all entries, and the rows times it."""
+    rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
+    # One argument per distinct denominator, not per entry: CPython 3.11
+    # never reuses a freed 20-tuple, so each call on a 20-entry matrix
+    # would leave one more in the tuple free list.
+    den = lcm(*{x.denominator for row in rows for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
     """Reduced row echelon form.
 
-    Returns the nonzero rows and the pivot column indices.
+    Returns the nonzero rows and the pivot column indices.  Gauss-Jordan
+    in integers: after each pivot every entry is a minor of the integer
+    matrix, so the division by the previous pivot is exact, and all pivot
+    rows end with the same pivot, the one divisor of the result.
     """
-    m = _to_rows(rows)
+    _, m = integral(rows)
     if not m:
         return [], []
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0
+    prev = 1
     for c in range(ncols):
         pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        piv = top[c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = piv
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[Fraction(a, prev) for a in row] for row in m[:r]], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
@@ -73,15 +91,12 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
 
     Free variables are set to zero.
     """
-    m = _to_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(m) != len(b):
+    if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
-    if not m:
+    if not rows:
         return ()
-    ncols = len(m[0])
-    aug = [row + [bi] for row, bi in zip(m, b)]
-    red, pivots = rref(aug)
+    ncols = len(rows[0])
+    red, pivots = rref([[*row, b] for row, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -92,32 +107,28 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
 
 def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
     """True when `target` is a rational linear combination of `vectors`."""
-    vecs = _to_rows(vectors)
-    t = [Fraction(x) for x in target]
-    if not vecs:
-        return all(c == 0 for c in t)
-    cols = [[vecs[j][i] for j in range(len(vecs))] for i in range(len(t))]
-    return solve(cols, t) is not None
+    if not vectors:
+        return all(c == 0 for c in target)
+    cols = [[v[i] for v in vectors] for i in range(len(target))]
+    return solve(cols, target) is not None
 
 
 def left_inverse(columns: Sequence[Sequence]) -> Rows:
     """Left inverse T of the matrix B whose columns are given: T B = I.
 
     Requires the columns to be linearly independent.  Computed through the
-    normal equations, which stay exact over the rationals.
+    normal equations of the integer matrix den * B, whose left inverse is
+    T / den.
     """
-    cols = _to_rows(columns)
+    den, cols = integral(columns)
     k = len(cols[0]) if cols else 0
-    kp = len(cols)
-    gram = [[sum(cols[i][t] * cols[j][t] for t in range(k)) for j in range(kp)]
-            for i in range(kp)]
-    # Solve gram * T = B^T column by column of B^T (i.e. per ambient coordinate).
-    T: Rows = [[Fraction(0)] * k for _ in range(kp)]
+    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    # Solve gram * T = (den B)^T column by column (i.e. per ambient coordinate).
+    T: Rows = [[Fraction(0)] * k for _ in cols]
     for t in range(k):
-        rhs = [cols[i][t] for i in range(kp)]
-        sol = solve(gram, rhs)
+        sol = solve(gram, [col[t] for col in cols])
         if sol is None:
             raise ValueError("columns are linearly dependent")
-        for i in range(kp):
-            T[i][t] = sol[i]
+        for row, x in zip(T, sol):
+            row[t] = x * den
     return T

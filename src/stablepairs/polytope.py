@@ -9,14 +9,14 @@ machine-checkable.
 
 Facet enumeration exists only in `certificate_normals`, which runs the
 double-description method in exact integer arithmetic (Motzkin et al.
-1953; Fukuda and Prodon 1996).
+1953; Fukuda and Prodon 1996) on integer hull coordinates, read off the
+pivot columns of the echelon basis of the point offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -288,6 +288,13 @@ def certificate_normals(
     conv(A) with +/- generators pinning down its affine hull.  The facets
     come from an exact double-description enumeration in hull coordinates
     (`_facet_normals`), not from a walk over point subsets.
+
+    Everything runs in integers.  The quotient basis is scaled by one
+    positive factor, which changes neither the hull map nor any primitive
+    output.  The hull coordinates of a point are its offset's entries in the
+    pivot columns of the echelon basis of the offsets, where that basis is
+    the identity; the facet normals are lifted through the hull map `T`,
+    scaled once to integers.
     """
     A = _as_pointset(A)
     if not A.points:
@@ -295,52 +302,44 @@ def certificate_normals(
     dim = _check_dims(A, None, ctx)
     # Functional basis of the covectors annihilating the quotient directions.
     if ctx.mod_directions:
-        fbasis = linalg.nullspace(ctx.mod_directions, dim)
+        _, fbasis = linalg.integral(linalg.nullspace(ctx.mod_directions, dim))
     else:
-        fbasis = [
-            tuple(_ONE if j == i else _ZERO for j in range(dim)) for i in range(dim)
-        ]
+        fbasis = [[int(j == i) for j in range(dim)] for i in range(dim)]
     k = len(fbasis)
     if k == 0:
         return ()
-    phi = [tuple(dot(f, p) for f in fbasis) for p in A.points]
+    phi = [[dot(f, p) for f in fbasis] for p in A.points]
     p0 = phi[0]
-    offsets = [tuple(a - b for a, b in zip(q, p0)) for q in phi[1:]]
-    wrows, _ = linalg.rref(offsets) if offsets else ([], [])
-    kp = len(wrows)
+    offsets = [[a - b for a, b in zip(q, p0)] for q in phi[1:]]
+    wrows, pivots = linalg.rref(offsets) if offsets else ([], [])
 
-    raw: list[tuple[Fraction, ...]] = []
+    raw: list[Sequence[int]] = []
     # Affine-hull enforcers: functionals constant on the image of A.
-    for g in linalg.nullspace(wrows, k):
+    _, enforcers = linalg.integral(linalg.nullspace(wrows, k))
+    for g in enforcers:
         raw.append(g)
-        raw.append(tuple(-c for c in g))
+        raw.append([-c for c in g])
     # Facet normals within the affine hull, in hull coordinates.
-    if kp > 0:
-        T = linalg.left_inverse(wrows)  # kp x k, maps hull offsets to coordinates
-        psi = [
-            tuple(sum(T[r][i] * (q[i] - p0[i]) for i in range(k)) for r in range(kp))
-            for q in phi
-        ]
+    if wrows:
+        _, T = linalg.integral(linalg.left_inverse(wrows))  # maps offsets to hull coordinates
+        psi = [[q[c] - p0[c] for c in pivots] for q in phi]
         for h in _facet_normals(psi):
-            lifted = tuple(sum(h[r] * T[r][i] for r in range(kp)) for i in range(k))
-            raw.append(lifted)
+            raw.append([sum(a * b for a, b in zip(h, col)) for col in zip(*T)])
 
     out: set[OnePS] = set()
     for u_k in raw:
-        ambient = [
-            sum(u_k[j] * fbasis[j][i] for j in range(k)) for i in range(dim)
-        ]
-        if any(c != 0 for c in ambient):
+        ambient = [sum(a * b for a, b in zip(u_k, col)) for col in zip(*fbasis)]
+        if any(ambient):
             out.add(clear_denominators(ambient))
     return tuple(sorted(out))
 
 
-def _facet_normals(psi: Sequence[Sequence[Fraction]]) -> list[OnePS]:
+def _facet_normals(psi: Sequence[Sequence[int]]) -> list[OnePS]:
     """Primitive inward facet normals of conv(psi), which must affinely span
     its whole space R^d.
 
-    Double description over the integers: with psi scaled to integer points
-    q, the cone {(h, c) : <h, q> - c >= 0 for every q} is pointed, and its
+    Double description over the integers: for the integer points q of psi,
+    the cone {(h, c) : <h, q> - c >= 0 for every q} is pointed, and its
     extreme rays are exactly the pairs (h, min of <h, q>) with h an inward
     facet normal.  The cone is seeded with the simplicial cone of d + 1
     affinely independent points, then cut by the remaining points one at a
@@ -348,8 +347,7 @@ def _facet_normals(psi: Sequence[Sequence[Fraction]]) -> list[OnePS]:
     adjacency test.
     """
     d = len(psi[0])
-    den = lcm(*(c.denominator for q in psi for c in q))
-    rows = [tuple(int(c * den) for c in q) + (-1,) for q in psi]
+    rows = [(*q, -1) for q in psi]
     # The pivot columns of the transpose are the first independent rows.
     _, seed = linalg.rref(list(zip(*rows)))
     # A ray is [primitive vector, bitmask of the processed rows it lies on].

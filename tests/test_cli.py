@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablepairs.cli
+import stablepairs.energy
+import stablepairs.pairs
+import stablepairs.polytope
 from stablepairs import Pair, StabilityProblem, WeightedVector
 from stablepairs.cli import MAX_RANK, main, parse_problem, serialize_pair
 
@@ -186,6 +190,71 @@ class TestProblemFields:
         path.write_text(json.dumps({"rank": MAX_RANK, "v": point, "w": point}))
         code, payload = run(capsys, "check", str(path))
         assert (code, payload) == (0, {"status": "semistable"})
+
+
+def _moment_curve(rank, npoints):
+    # Points of a cyclic polytope: the most facets n points of a rank can have.
+    return [[t ** (i + 1) for i in range(rank)] for t in range(1, npoints + 1)]
+
+
+class TestHullCap:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("stable", []), ("energy", ["--ops=" + ",".join(["0"] * 10), "--infimum"])],
+        ids=["stable", "energy_infimum"],
+    )
+    def test_large_hull_is_refused_before_any_enumeration(
+        self, capsys, tmp_path, monkeypatch, command, extra
+    ):
+        calls = []
+
+        def never(*args):
+            calls.append(args)
+            raise AssertionError("certificate_normals called")
+
+        for module in (stablepairs.pairs, stablepairs.energy, stablepairs.polytope):
+            monkeypatch.setattr(module, "certificate_normals", never)
+        points = _moment_curve(10, 30)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(
+            {"rank": 10, "v": {"support": points[:1]}, "w": {"support": points}}
+        ))
+        start = time.perf_counter()
+        code, payload = run(capsys, command, str(path), *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and calls == []
+        assert str(stablepairs.cli.MAX_HULL_WORK) in payload["error"]
+
+    def test_stable_refuses_a_large_reference_polytope(self, capsys, tmp_path):
+        # The default Q of rank 10 is the cross-polytope on 20 points, whose
+        # hull dimension allows 4004 facets by the bound (it has 1024).
+        path = tmp_path / "problem.json"
+        origin = {"support": [[0] * 10]}
+        path.write_text(json.dumps({"rank": 10, "v": origin, "w": origin}))
+        code, payload = run(capsys, "stable", str(path))
+        assert code == 2 and "hull of Q" in payload["error"]
+        code, payload = run(capsys, "check", str(path))
+        assert (code, payload) == (0, {"status": "semistable"})
+
+    @pytest.mark.parametrize("rank, npoints", [(3, 9), (4, 10), (5, 9), (6, 10)])
+    def test_facet_bound_is_reached_on_the_moment_curve(self, rank, npoints):
+        normals = stablepairs.certificate_normals(_moment_curve(rank, npoints))
+        assert len(normals) == stablepairs.cli._max_facets(npoints, rank)
+
+    def test_facet_bound_covers_lower_dimensions(self):
+        # Five points span at most a bipyramid (6 facets) in dimension 3 or 4.
+        assert stablepairs.cli._max_facets(5, 4) == 6
+        assert stablepairs.cli._max_facets(1, 5) == 1
+        assert stablepairs.cli._max_facets(12, 2) == 12
+
+    def test_cap_admits_the_benchmark_requests(self, capsys, semistable_file, tmp_path):
+        # Rank 3 with an 8-point w-support and the cross-polytope Q, the
+        # largest `stable` and `energy --infimum` requests of `bench/`.
+        w = [[a, b, c] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"rank": 3, "v": {"support": [[0, 0, 0]]}, "w": {"support": w}}))
+        assert run(capsys, "stable", str(path))[0] == 0
+        assert run(capsys, "energy", str(path), "--ops=1,0,0", "--infimum")[0] == 0
 
 
 class TestExitCodes:

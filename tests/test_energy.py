@@ -311,3 +311,36 @@ class TestInfimumEstimateProbes:
                     for sign in (1.0, -1.0):
                         ray = energy_at(p, [sign * tau * ui for ui in u])
                         assert est <= ray + 1e-9
+
+
+# Two pairs of the `energy` benchmark pools (seeds 2 and 3) and the estimate
+# the search reaches on them.  On the first only a ray probe with the - sign
+# gets there: the + probes alone stop 0.149 higher.  On the second only the
+# value at the end of a line search does: without it the estimate is 0.931
+# higher.
+PINNED_SEARCH = {
+    "minus_ray": (
+        3, [],
+        {(-1, 1, 1): Fraction(5, 4)},
+        {(-3, 0, 3): Fraction(7, 4), (-3, 3, 2): Fraction(15, 4), (-1, 1, 3): Fraction(7, 4),
+         (1, 2, -1): Fraction(5, 2), (1, 2, 3): Fraction(4), (2, -2, 2): Fraction(3, 4),
+         (2, 2, 2): Fraction(5, 4), (3, 3, 2): Fraction(4)},
+        1.386294361119866,
+    ),
+    "line_search": (
+        3, [(1, 1, 1)],
+        {(2, 2, -1): Fraction(7, 2)},
+        {(-3, 2, -3): Fraction(3, 2), (-2, -2, -1): Fraction(9, 4), (-1, -2, -1): Fraction(2),
+         (1, -1, 1): Fraction(1, 4), (1, 1, 0): Fraction(7, 2), (2, 1, -1): Fraction(1, 4),
+         (3, -3, 3): Fraction(3, 4), (3, 3, -2): Fraction(1, 4)},
+        -0.2669389637710782,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SEARCH))
+def test_infimum_estimate_search_is_pinned(name):
+    rank, constraints, v, w, expected = PINNED_SEARCH[name]
+    problem = StabilityProblem(rank, constraints)
+    p = Pair(WeightedVector(v), WeightedVector(w), problem)
+    assert abs(infimum_estimate(p) - expected) <= 1e-9

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from stablepairs import clear_denominators, pair
 from stablepairs.lattice import is_admissible, lattice_point
 
+from helpers import _o_primitive
+
 
 def test_pairing_examples():
     assert pair((1, -1), (2, 0)) == 2
@@ -48,13 +50,23 @@ def test_clear_denominators_zero_rejected():
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
+integers = st.integers(-20, 20)
+covectors = st.one_of(
+    st.lists(rationals, min_size=1, max_size=5),
+    st.lists(integers, min_size=1, max_size=5),
+    st.lists(st.one_of(integers, rationals), min_size=1, max_size=5),
+)
 
 
-@given(st.lists(rationals, min_size=1, max_size=5))
+@given(covectors)
 def test_clear_denominators_parallel_and_primitive(g):
     if all(c == 0 for c in g):
+        with pytest.raises(ValueError):
+            clear_denominators(g)
         return
     u = clear_denominators(g)
+    assert u == _o_primitive(g)
+    assert all(type(c) is int for c in u)
     # primitive
     assert gcd(*u) == 1 if len(u) > 1 else abs(u[0]) == 1
     # parallel with a positive ratio

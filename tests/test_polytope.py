@@ -235,15 +235,35 @@ def _differential_sets(rng, rank):
     cube = list(itertools.product((-1, 0, 1), repeat=rank))
     for _ in range(12):
         yield PointSet(rng.sample(cube, rng.randint(1, min(most, len(cube)))))
+    if rank >= 4:
+        e1, e2, e3 = box(), box(), box()
+        yield PointSet(
+            tuple(a * x + b * y + c * z for x, y, z in zip(e1, e2, e3))
+            for a, b, c in rng.sample(list(itertools.product(range(-2, 3), repeat=3)), 8)
+        )
+
+
+def _quotient_contexts(rank, constrained):
+    """No direction, or the all-ones direction, then directions with other
+    entries: there the quotient basis is fractional and the hull map of a
+    lower-dimensional set is not the identity."""
+    if not constrained:
+        return [ContainmentContext()]
+    contexts = [ContainmentContext([(1,) * rank])]
+    if rank >= 2:
+        contexts.append(ContainmentContext([(2, 3, 4, 5, 7)[:rank]]))
+    if rank >= 4:
+        contexts.append(ContainmentContext([(2, 3, 4, 5, 7)[:rank], (3, -1, 0, 4, 2)[:rank]]))
+    return contexts
 
 
 @pytest.mark.parametrize("constrained", [False, True])
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
 def test_certificate_normals_match_subset_walk_oracle(rank, constrained):
     rng = random.Random(1000 * rank + constrained)
-    ctx = ContainmentContext([(1,) * rank] if constrained else [])
-    for A in _differential_sets(rng, rank):
-        assert certificate_normals(A, ctx) == subset_walk_normals(A, ctx)
+    for ctx in _quotient_contexts(rank, constrained):
+        for A in _differential_sets(rng, rank):
+            assert certificate_normals(A, ctx) == subset_walk_normals(A, ctx)
 
 
 def test_certificate_normals_rank5_twenty_points_is_fast(monkeypatch):
