@@ -59,7 +59,6 @@ from .energy import (
     energy_along,
     energy_at,
     infimum_estimate,
-    kempf_ness_distance,
 )
 from .binary_forms import (
     BinaryForm,
@@ -120,7 +119,6 @@ __all__ = [
     "infimum_estimate",
     "interior_contains",
     "is_admissible",
-    "kempf_ness_distance",
     "limit_support",
     "mabuchi_weight_inequality",
     "min_functional",

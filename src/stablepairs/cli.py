@@ -21,7 +21,8 @@ Problem file schema:
 before any work, since the default reference polytope grows with it.
 `stable` and `energy --infimum` enumerate the facets of the w-support (and
 `stable` those of `Q`); a hull that could have too many is refused up front
-too (`MAX_HULL_WORK`).
+too (`MAX_HULL_WORK`), and so is a `binary --oracle` request whose forms
+have a total degree above `MAX_ORACLE_DEGREE`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ EXIT_ERROR = 2
 EXIT_INTERNAL = 3
 
 # A problem without `Q` builds the cross-polytope of its rank and checks it
-# with an LP over 2 * rank points: about 1 s at rank 16, a minute at rank 80.
+# with an LP of rank + 1 rows over 2 * rank points: about 0.05 s at rank 16
+# and 4 s at rank 80 on one core of an Intel Xeon.
 MAX_RANK = 16
 
 # `certificate_normals` enumerates facets by double description; its work
@@ -66,6 +68,13 @@ MAX_RANK = 16
 # the cap seen on one core of an Intel Xeon took 0.84 s (36 points of the
 # moment curve in rank 5).
 MAX_HULL_WORK = 40_000
+
+# `binary --oracle` expands both forms into exact coefficients at every
+# critical torus, one per distinct root, so its work grows about like the
+# cube of deg f + deg g: at the cap, 32 distinct roots take about 0.23 s on
+# one core of an Intel Xeon.  A larger total degree is refused before any
+# expansion.
+MAX_ORACLE_DEGREE = 32
 
 
 class InputError(Exception):
@@ -324,6 +333,11 @@ def cmd_binary(args) -> int:
         g = binary_forms.BinaryForm.parse(args.g)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if args.oracle and f.degree + g.degree > MAX_ORACLE_DEGREE:
+        raise InputError(
+            f"total degree {f.degree + g.degree} is above the cap of {MAX_ORACLE_DEGREE} "
+            "for --oracle"
+        )
     verdict = binary_forms.semistable_bf(f, g)
     if args.oracle:
         oracle = binary_forms.torus_oracle_bf(f, g)

@@ -152,23 +152,6 @@ def asymptotic_slope(p: Pair, u: Sequence[int]) -> float:
     return num / den
 
 
-def kempf_ness_distance(p: Pair, s: TorusElement | Sequence[float]) -> float:
-    """log tan^2 of the Fubini-Study distance between the translated pair
-    point and the translated v-only point.
-
-    Computed through the spherical distance formula: cos d is the norm of
-    the translated v over the norm of the translated pair.  Agrees with
-    `energy_at` pointwise; the arccos/tan route is float-conditioned, so
-    the agreement degrades once |energy| grows past roughly 35.
-    """
-    coords = _check_torus_element(p, s)
-    log_nv = _log_norm_sq(p.v, coords)
-    log_nw = _log_norm_sq(p.w, coords)
-    ratio = math.exp(log_nw - log_nv)  # ||sigma w||^2 / ||sigma v||^2
-    d = math.acos(1.0 / math.sqrt(1.0 + ratio))
-    return math.log(math.tan(d) ** 2)
-
-
 def infimum_estimate(
     p: Pair,
     *,

@@ -116,9 +116,10 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
 def left_inverse(columns: Sequence[Sequence]) -> Rows:
     """Left inverse T of the matrix B whose columns are given: T B = I.
 
-    Requires the columns to be linearly independent.  Computed through the
-    normal equations of the integer matrix den * B, whose left inverse is
-    T / den.
+    Precondition, not checked: the columns are linearly independent (on
+    dependent ones the result is some T with T B != I).  Computed through
+    the normal equations of the integer matrix den * B, whose left inverse
+    is T / den; normal equations are always consistent.
     """
     den, cols = integral(columns)
     k = len(cols[0]) if cols else 0
@@ -126,9 +127,6 @@ def left_inverse(columns: Sequence[Sequence]) -> Rows:
     # Solve gram * T = (den B)^T column by column (i.e. per ambient coordinate).
     T: Rows = [[Fraction(0)] * k for _ in cols]
     for t in range(k):
-        sol = solve(gram, [col[t] for col in cols])
-        if sol is None:
-            raise ValueError("columns are linearly dependent")
-        for row, x in zip(T, sol):
+        for row, x in zip(T, solve(gram, [col[t] for col in cols])):
             row[t] = x * den
     return T

@@ -163,10 +163,3 @@ def solve_lp(
     value = sum(ci * xi for ci, xi in zip(c_orig, x))
     return LPResult(OPTIMAL, x=x, objective=value)
 
-
-def feasible_point(
-    rows: Sequence[Sequence], rhs: Sequence, nonneg: Sequence[bool]
-) -> LPResult:
-    """Feasibility of A x = b with the given sign pattern; no objective."""
-    nvars = len(nonneg)
-    return solve_lp([_ZERO] * nvars, rows, rhs, nonneg)

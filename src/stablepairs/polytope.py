@@ -29,7 +29,7 @@ from .lattice import (
     lattice_point,
 )
 from . import linalg
-from .linprog import INFEASIBLE, OPTIMAL, feasible_point, solve_lp
+from .linprog import INFEASIBLE, OPTIMAL, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,7 +118,7 @@ def _containment_lp(A: PointSet, x: Sequence[Scalar], ctx: ContainmentContext):
     rows.append([_ONE] * len(pts) + [_ZERO] * len(dirs))
     rhs.append(_ONE)
     nonneg = [True] * len(pts) + [False] * len(dirs)
-    return feasible_point(rows, rhs, nonneg)
+    return solve_lp([_ZERO] * len(nonneg), rows, rhs, nonneg)
 
 
 def convex_combination(
@@ -236,9 +236,13 @@ def interior_contains(
 ) -> bool:
     """Relative-interior membership of x in conv(A) + span(directions).
 
-    Decided by maximizing a common lower bound on the convex weights: x is
-    relative-interior exactly when a representation with all weights
-    strictly positive exists, i.e. when the optimal slack is positive.
+    x is relative-interior exactly when it has a representation with every
+    convex weight strictly positive.  One LP of dim + 1 rows decides it:
+    each weight is written lambda_a = delta + mu_a with mu_a >= 0 and a
+    common free delta, the rows are the coordinates of
+    sum (delta + mu_a) a + sum t_j d_j = x and |A| delta + sum mu_a = 1,
+    and the objective maximizes delta, which is at most 1/|A|.  x is
+    relative-interior exactly when the optimum is positive.
     """
     A = _as_pointset(A)
     if not A.points:
@@ -247,28 +251,15 @@ def interior_contains(
     pts = A.points
     dirs = ctx.mod_directions
     k, nd = len(pts), len(dirs)
-    # Variables: lambdas (>=0), direction multipliers (free), slack delta
-    # (free), one surplus per point (>=0) encoding lambda_a - delta >= 0.
-    nvars = k + nd + 1 + k
-    rows = []
-    rhs = []
-    for i in range(dim):
-        row = [Fraction(p[i]) for p in pts] + [Fraction(d[i]) for d in dirs]
-        row += [_ZERO] * (1 + k)
-        rows.append(row)
-        rhs.append(Fraction(x[i]))
-    rows.append([_ONE] * k + [_ZERO] * (nd + 1 + k))
-    rhs.append(_ONE)
-    for a in range(k):
-        row = [_ZERO] * nvars
-        row[a] = _ONE
-        row[k + nd] = Fraction(-1)
-        row[k + nd + 1 + a] = Fraction(-1)
-        rows.append(row)
-        rhs.append(_ZERO)
-    objective = [_ZERO] * nvars
-    objective[k + nd] = _ONE
-    nonneg = [True] * k + [False] * nd + [False] + [True] * k
+    # Variables: mu (>= 0), direction multipliers (free), delta (free).
+    rows = [
+        [p[i] for p in pts] + [d[i] for d in dirs] + [sum(p[i] for p in pts)]
+        for i in range(dim)
+    ]
+    rows.append([1] * k + [0] * nd + [k])
+    rhs = [*x, 1]
+    objective = [0] * (k + nd) + [1]
+    nonneg = [True] * k + [False] * (nd + 1)
     res = solve_lp(objective, rows, rhs, nonneg)
     return res.status == OPTIMAL and res.objective > 0
 

@@ -5,12 +5,14 @@ they carry their own Gaussian elimination and decide containment by
 enumerating candidate half-spaces from point subsets, never by LP or by
 double description.  They are the ground truth the LP-based answers and
 the closed forms read off certificate normals are measured against.
+`kempf_ness_distance` is a second float formula for the energy.
 `facet_weight_semistable` is the one package-side criterion path here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -195,6 +197,32 @@ def facet_weight_semistable(p: Pair) -> bool:
     must be nonpositive on every certificate normal of the w-polytope."""
     normals = certificate_normals(p.w.support, p.problem.ctx)
     return all(futaki_gen(u, p) <= 0 for u in normals)
+
+
+def _o_log_norm_sq(vec, s):
+    # log sum |c_a|^2 exp(2<s, a>), stabilized against overflow.
+    terms = [
+        math.log(float(m)) + 2.0 * sum(si * ai for si, ai in zip(s, a))
+        for a, m in zip(vec.support.points, vec.magnitudes)
+    ]
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def kempf_ness_distance(p: Pair, s) -> float:
+    """log tan^2 of the Fubini-Study distance between the translated pair
+    point and the translated v-only point: a second float formula for
+    `energy_at`.
+
+    Computed through the spherical distance formula: cos d is the norm of
+    the translated v over the norm of the translated pair.  The arccos/tan
+    route is float-conditioned, so the agreement with `energy_at` degrades
+    once |energy| grows past roughly 35.
+    """
+    s = [float(x) for x in s]
+    ratio = math.exp(_o_log_norm_sq(p.w, s) - _o_log_norm_sq(p.v, s))  # ||w||^2 / ||v||^2
+    d = math.acos(1.0 / math.sqrt(1.0 + ratio))
+    return math.log(math.tan(d) ** 2)
 
 
 def _o_left_inverse(rows):

@@ -25,7 +25,6 @@ from stablepairs import (
     find_degeneration,
     futaki_gen,
     impossible_degree_check,
-    kempf_ness_distance,
     limit_support,
     perturb,
     plane_curve_mu,
@@ -44,6 +43,7 @@ from helpers import (
     box_search_degeneration,
     brute_hull_contains,
     facet_weight_semistable,
+    kempf_ness_distance,
     random_binary_form,
     random_pair,
 )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -8,12 +9,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stablepairs.binary_forms
 import stablepairs.cli
 import stablepairs.energy
 import stablepairs.pairs
 import stablepairs.polytope
 from stablepairs import Pair, StabilityProblem, WeightedVector
-from stablepairs.cli import MAX_RANK, main, parse_problem, serialize_pair
+from stablepairs.cli import MAX_ORACLE_DEGREE, MAX_RANK, main, parse_problem, serialize_pair
+
+from helpers import random_binary_form
 
 
 @pytest.fixture
@@ -419,6 +423,41 @@ class TestBinaryCommand:
         code, payload = run(capsys, "binary", "--f", "wat", "--g", "1")
         assert code == 2
 
+    def test_oracle_above_the_degree_cap_is_refused_before_any_expansion(
+        self, capsys, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("torus_oracle_bf called")
+
+        monkeypatch.setattr(stablepairs.binary_forms, "torus_oracle_bf", never)
+        form = "[1:1]^800 [2:3]^800"
+        start = time.perf_counter()
+        code, payload = run(capsys, "binary", "--f", form, "--g", form, "--oracle")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and str(MAX_ORACLE_DEGREE) in payload["error"]
+        # Without the oracle the root criterion still answers.
+        assert run(capsys, "binary", "--f", form, "--g", form) == (0, {
+            "status": "semistable", "e": 1600, "d": 1600,
+        })
+
+    def test_oracle_degree_cap_is_on_the_total_degree(self, capsys):
+        # Distinct roots: one critical torus each, the most expansions per degree.
+        g = " ".join(f"[{i}:1]" for i in range(MAX_ORACLE_DEGREE))
+        assert run(capsys, "binary", "--f", "1", "--g", g, "--oracle")[0] == 0
+        code, payload = run(capsys, "binary", "--f", "[1:0]", "--g", g, "--oracle")
+        assert code == 2 and str(MAX_ORACLE_DEGREE) in payload["error"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_admits_benchmark_sized_forms(self, capsys, seed):
+        # Degrees up to 8 on each side, as the `binary --oracle` requests of `bench/`.
+        rng = random.Random(seed)
+        f = random_binary_form(rng, rng.randint(0, 8))
+        g = random_binary_form(rng, rng.randint(0, 8))
+        code, payload = run(capsys, "binary", "--f", str(f), "--g", str(g), "--oracle")
+        expected = stablepairs.binary_forms.semistable_bf(f, g).semistable
+        assert code == (0 if expected else 1)
+        assert payload["status"] == ("semistable" if expected else "unstable")
+
 
 class TestVarietyCommand:
     def test_report(self, capsys):
@@ -467,7 +506,8 @@ class TestRoundTrip:
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI contract: exit code in {0, 1, 2, 3}, JSON out, no traceback.
 # Ranks above the cap (17-80) must exit 2; the CLI does not yet cap other
-# input-driven work, so accepted ranks and coordinates stay small.
+# input-driven work, so accepted ranks and coordinates stay small.  `binary`
+# and `variety` take no problem file.
 
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
@@ -518,6 +558,24 @@ def _problems(draw):
 
 
 _TEXT = st.text(max_size=4)
+_NO_FILE = ("binary", "variety")
+
+# Root multiplicities reach past the oracle's degree cap.  Variety data stay
+# small: the CLI does not cap N, and the partitions it prints have N + 1 parts.
+_FORM = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 20) | st.just(10**6)),
+    max_size=4,
+).map(lambda roots: " ".join(f"[{p}:{q}]^{m}" for p, q, m in roots) or "1") | _TEXT
+_BINARY_ARGS = st.tuples(
+    st.just("--f"), _FORM, st.just("--g"), _FORM
+).flatmap(lambda args: st.sampled_from([list(args), [*args, "--oracle"]]))
+_SMALL = st.integers(-1, 12).map(str) | _TEXT
+_VARIETY_ARGS = st.tuples(
+    st.just("--n"), _SMALL, st.just("--d"), _SMALL, st.just("--N"), _SMALL,
+    st.just("--mu"), st.sampled_from(["0", "1", "-1", "2/3", "-4/3", "1/0", "nan", "x", ""]),
+).flatmap(lambda args: st.sampled_from(
+    [list(args)] + [[*args, "--genus", str(g)] for g in (-1, 0, 1, 3, 10)]
+))
 
 
 @st.composite
@@ -536,8 +594,11 @@ def _requests(draw):
     )
     chosen = st.lists(st.sampled_from(support), min_size=1, max_size=3) if support else st.just([])
     command = draw(st.sampled_from(
-        ["check", "stable", "destabilize", "relinv", "limit", "extend", "energy", "futaki"]
+        ["check", "stable", "destabilize", "relinv", "limit", "extend", "energy", "futaki",
+         "binary", "variety"]
     ))
+    if command in _NO_FILE:
+        return None, [command, *draw(_BINARY_ARGS if command == "binary" else _VARIETY_ARGS)]
     extra = []
     if command == "stable":
         extra = ["--max-m", str(draw(st.integers(-1, 10) | st.just(10**9)))]
@@ -554,16 +615,18 @@ def _requests(draw):
     return problem, [command, *extra]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(request=_requests())
 def test_cli_contract_under_fuzzing(request):
     problem, argv = request
     with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "problem.json"
-        path.write_text(json.dumps(problem))
+        if argv[0] not in _NO_FILE:
+            path = Path(workdir) / "problem.json"
+            path.write_text(json.dumps(problem))
+            argv = [argv[0], str(path), *argv[1:]]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), *argv[1:]])
+            code = main(argv)
     assert code in (0, 1, 2, 3)
     rank = problem.get("rank") if isinstance(problem, dict) else None
     if type(rank) is int and rank > MAX_RANK:

@@ -18,7 +18,6 @@ from stablepairs import (
     energy_at,
     futaki_gen,
     infimum_estimate,
-    kempf_ness_distance,
     perturb,
     properness_slope_check,
     t_semistable,
@@ -26,7 +25,13 @@ from stablepairs import (
 
 from stablepairs.linalg import nullspace
 
-from helpers import random_magnitudes, random_pair, random_problem, random_support
+from helpers import (
+    kempf_ness_distance,
+    random_magnitudes,
+    random_pair,
+    random_problem,
+    random_support,
+)
 
 FREE1 = StabilityProblem.free(1)
 FREE2 = StabilityProblem.free(2)

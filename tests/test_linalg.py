@@ -51,6 +51,7 @@ def _is_fraction_matrix(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+@pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rref_matches_oracle(rows):
@@ -60,6 +61,7 @@ def test_rref_matches_oracle(rows):
     assert matrix_rank(rows) == len(pivots)
 
 
+@pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_nullspace_matches_oracle(data):
@@ -70,6 +72,7 @@ def test_nullspace_matches_oracle(data):
     assert _is_fraction_matrix(basis)
 
 
+@pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solve_matches_oracle(data):
@@ -88,6 +91,7 @@ def test_solve_matches_oracle(data):
         assert [sum(a * b for a, b in zip(row, sol)) for row in rows] == rhs
 
 
+@pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_in_span_matches_oracle(data):
@@ -100,6 +104,7 @@ def test_in_span_matches_oracle(data):
     assert in_span(vectors, target) == _o_in_span(vectors, target)
 
 
+@pytest.mark.slow
 @settings(max_examples=200, deadline=None)
 @given(matrices(min_rows=1))
 def test_left_inverse_matches_oracle(rows):
@@ -166,6 +171,7 @@ def test_empty_and_trivial_systems():
         solve([[1, 2]], [1, 2])
 
 
+@pytest.mark.slow
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_integral_is_the_least_integer_multiple(rows):

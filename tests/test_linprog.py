@@ -6,7 +6,6 @@ from stablepairs.linprog import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    feasible_point,
     solve_lp,
 )
 
@@ -46,7 +45,7 @@ def test_free_variable_solution():
 
 def test_degenerate_system():
     rows = [[1, 1], [2, 2]]  # redundant row
-    res = feasible_point(rows, [1, 2], [True, True])
+    res = solve_lp([0, 0], rows, [1, 2], [True, True])
     assert res.status == OPTIMAL
     assert sum(res.x) == 1
 
@@ -75,7 +74,7 @@ def test_feasibility_answers_verify(data):
     rows = [data.draw(st.lists(small_int, min_size=n, max_size=n)) for _ in range(m)]
     rhs = data.draw(st.lists(small_int, min_size=m, max_size=m))
     nonneg = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    res = feasible_point(rows, rhs, nonneg)
+    res = solve_lp([0] * n, rows, rhs, nonneg)
     if res.status == OPTIMAL:
         for row, b in zip(rows, rhs):
             assert sum(Fraction(a) * x for a, x in zip(row, res.x)) == b

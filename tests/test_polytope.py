@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablepairs.linalg
+import stablepairs.polytope
 
 from stablepairs import (
     ContainmentContext,
@@ -264,6 +265,70 @@ def test_certificate_normals_match_subset_walk_oracle(rank, constrained):
     for ctx in _quotient_contexts(rank, constrained):
         for A in _differential_sets(rng, rank):
             assert certificate_normals(A, ctx) == subset_walk_normals(A, ctx)
+
+
+def _interior_by_normals(normals, A, x):
+    """Relative interior read off certificate normals: strictly above the
+    minimum on every normal that is not constant on A, and on the affine
+    hull, i.e. at the common value, for every one that is."""
+    for u in normals:
+        values = [dot(u, a) for a in A]
+        lo, ux = min(values), dot(u, x)
+        if ux < lo or (ux == lo) != (lo == max(values)):
+            return False
+    return True
+
+
+def _interior_probes(rng, A):
+    """Two points of A, two edge midpoints, the centroid of A and that of a
+    subset, and two points of a box twice as wide as the sets' own."""
+    pts = A.points
+    centroid = lambda sub: tuple(Fraction(sum(c), len(sub)) for c in zip(*sub))
+    yield from rng.sample(pts, min(2, len(pts)))
+    edges = list(itertools.combinations(pts, 2))
+    yield from map(centroid, rng.sample(edges, min(2, len(edges))))
+    yield centroid(pts)
+    yield centroid(rng.sample(pts, rng.randint(1, len(pts))))
+    for _ in range(2):
+        yield tuple(rng.randint(-8, 8) for _ in pts[0])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_interior_contains_matches_subset_walk_oracle(rank, constrained):
+    rng = random.Random(2000 * rank + constrained)
+    for ctx in _quotient_contexts(rank, constrained):
+        # Every other set, which holds the test near 10 s.
+        for A in itertools.islice(_differential_sets(rng, rank), 0, None, 2):
+            normals = subset_walk_normals(A, ctx)
+            for x in _interior_probes(rng, A):
+                assert interior_contains(A, x, ctx) == _interior_by_normals(normals, A, x), (A, x)
+
+
+@pytest.mark.parametrize(
+    "A, ctx",
+    [
+        (PointSet([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+                   (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]), ContainmentContext()),
+        (PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), ContainmentContext([(1, 1, 1)])),
+        (PointSet([(2, 3)]), ContainmentContext()),
+    ],
+    ids=["cross4", "simplex_mod_diagonal", "singleton"],
+)
+def test_interior_contains_solves_one_lp_with_dim_plus_one_rows(monkeypatch, A, ctx):
+    shapes = []
+    real = stablepairs.polytope.solve_lp
+
+    def recording(objective, rows, rhs, nonneg, **kwargs):
+        shapes.append((len(rows), len(objective)))
+        return real(objective, rows, rhs, nonneg, **kwargs)
+
+    monkeypatch.setattr(stablepairs.polytope, "solve_lp", recording)
+    dim = A.dim
+    interior_contains(A, (0,) * dim, ctx)
+    k, nd = len(A), len(ctx.mod_directions)
+    assert shapes == [(dim + 1, k + nd + 1)]
 
 
 def test_certificate_normals_rank5_twenty_points_is_fast(monkeypatch):
