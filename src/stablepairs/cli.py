@@ -21,8 +21,9 @@ Problem file schema:
 before any work, since the default reference polytope grows with it.
 `stable` and `energy --infimum` enumerate the facets of the w-support (and
 `stable` those of `Q`); a hull that could have too many is refused up front
-too (`MAX_HULL_WORK`), and so is a `binary --oracle` request whose forms
-have a total degree above `MAX_ORACLE_DEGREE`.
+too (`MAX_HULL_WORK`), and so are a `binary --oracle` request whose forms
+have a total degree above `MAX_ORACLE_DEGREE` and a `variety` request with
+N above `MAX_VARIETY_N`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Any, Sequence
 
@@ -75,6 +77,13 @@ MAX_HULL_WORK = 40_000
 # one core of an Intel Xeon.  A larger total degree is refused before any
 # expansion.
 MAX_ORACLE_DEGREE = 32
+
+# `variety` prints two partitions with N + 1 parts each, and N bounds the
+# dimension n, which sets how many parts are nonzero.  At the cap the worst
+# case (n = 63, a 2147-digit d, the largest whose degrees still print under
+# Python's 4300-digit limit) prints 0.55 MB of JSON in about 0.05 s on one
+# core of an Intel Xeon.  A larger N is refused before any arithmetic.
+MAX_VARIETY_N = 64
 
 
 class InputError(Exception):
@@ -197,8 +206,9 @@ def _verify_witness(pair: Pair, u: Sequence[int]) -> None:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    # Encoded whole before any write: an int past Python's digit limit
+    # raises mid-encoding, and no partial line may reach stdout.
+    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def cmd_check(args) -> int:
@@ -354,6 +364,8 @@ def cmd_binary(args) -> int:
 
 
 def cmd_variety(args) -> int:
+    if args.N > MAX_VARIETY_N:
+        raise InputError(f"N = {args.N} is above the cap of {MAX_VARIETY_N}")
     try:
         datum = VarietyDatum(args.n, args.d, Fraction(args.mu), args.N)
         report = degrees(datum, genus=args.genus)
@@ -371,6 +383,7 @@ def cmd_variety(args) -> int:
     return EXIT_TRUE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablepairs",
@@ -382,56 +395,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="path to a JSON problem file")
         return p
 
-    with_problem(sub.add_parser("check", help="decide torus semistability")).set_defaults(
-        func=cmd_check
-    )
+    with_problem(sub.add_parser("check", help="decide torus semistability"))
     p = with_problem(sub.add_parser("stable", help="search for a stability exponent"))
     p.add_argument("--max-m", type=int, default=32)
-    p.set_defaults(func=cmd_stable)
-    with_problem(
-        sub.add_parser("destabilize", help="destabilizing subgroup and limit supports")
-    ).set_defaults(func=cmd_destabilize)
+    with_problem(sub.add_parser("destabilize", help="destabilizing subgroup and limit supports"))
     p = with_problem(sub.add_parser("relinv", help="relative-invariant certificate"))
     p.add_argument("--chi", required=True, help="support character, e.g. '1,0'")
-    p.set_defaults(func=cmd_relinv)
     p = with_problem(sub.add_parser("limit", help="one-parameter subgroup with target limit support"))
     p.add_argument("--target", required=True, help="JSON list of points, e.g. '[[1,0]]'")
-    p.set_defaults(func=cmd_limit)
     p = with_problem(sub.add_parser("extend", help="equivariant extension criterion"))
     p.add_argument("--target", required=True, help="JSON list of points (the subset kept)")
-    p.set_defaults(func=cmd_extend)
     p = with_problem(sub.add_parser("energy", help="pair energy along a subgroup"))
     p.add_argument("--ops", required=True, help="one-parameter subgroup, e.g. '1,-1'")
     p.add_argument("--slope", action="store_true", help="report the asymptotic slope")
     p.add_argument("--at-t", type=float, default=None)
     p.add_argument("--infimum", action="store_true", help="estimate the energy infimum")
-    p.set_defaults(func=cmd_energy)
-    with_problem(sub.add_parser("futaki", help="stabilizer subtorus and Futaki data")).set_defaults(
-        func=cmd_futaki
-    )
+    with_problem(sub.add_parser("futaki", help="stabilizer subtorus and Futaki data"))
     p = sub.add_parser("binary", help="semistability of a pair of binary forms")
     p.add_argument("--f", required=True, help="roots of f, e.g. '[0:1]^2 [1:0]' or '1'")
     p.add_argument("--g", required=True, help="roots of g")
     p.add_argument("--oracle", action="store_true", help="cross-check with the torus oracle")
-    p.set_defaults(func=cmd_binary)
     p = sub.add_parser("variety", help="resultant/hyperdiscriminant degree report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mu", required=True, help="average scalar curvature, e.g. '1' or '2/3'")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--genus", type=int, default=None, help="validate mu for a curve")
-    p.set_defaults(func=cmd_variety)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound `cmd_*` attribute is the one run.
+        return globals()["cmd_" + args.command](args)
     except (InputError, ValueError, OverflowError) as exc:
         _emit({"error": str(exc)})
         return EXIT_ERROR

@@ -3,30 +3,29 @@
 Two questions about a finite support A and a prescribed subset B: does the
 equivariant projection forgetting the coordinates outside B extend to the
 closure of the torus orbit, and is there a one-parameter subgroup whose
-renormalized limit has support exactly B?  The second is answered
-constructively: a covector constant on B and strictly larger on the rest
-is found by exact LP, rationalized and cleared to a primitive integer
-covector, mirroring the separation argument that produces it.
+renormalized limit has support exactly B?  Both are containment questions
+of `polytope`.  The second is answered constructively: a covector constant
+on B and strictly larger on the rest is the separating functional of one
+point of B from the rest of A, modulo the directions along which B is
+flat, cleared to a primitive integer covector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .lattice import OnePS, clear_denominators, dot
-from .linprog import OPTIMAL, solve_lp
 from .polytope import (
     NO_CONTEXT,
     ContainmentContext,
     PointSet,
     _as_pointset,
+    _check_dims,
     hull_contains,
     min_functional,
+    separating_functional,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def extension_criterion(
@@ -60,11 +59,14 @@ def find_degeneration(
 ) -> OnePS | None:
     """An admissible integer covector realizing B as a limit support of A.
 
-    Searches for u with a common value on B and strictly larger pairings on
-    A minus B, so the renormalized limit along u lands on support exactly
-    B.  Strictness is encoded by maximizing a slack bounded by one; the
-    slack is positive iff such a u exists.  Returns None when B is not a
-    limit support.
+    Such a u has a common value on B and strictly larger pairings on A
+    minus B, so the renormalized limit along u lands on support exactly B.
+    Equivalently, u vanishes on the span L of the quotient directions and
+    the differences b - b0 (b0 the first point of B) and separates b0 from
+    conv(A minus B).  By Gordan's theorem it exists exactly when b0 lies
+    outside conv(A minus B) + L, and then it is the separating functional of
+    that containment question, cleared to a primitive integer covector.
+    Returns None when B is not a limit support.
     """
     A = _as_pointset(A)
     B = _as_pointset(B)
@@ -72,58 +74,18 @@ def find_degeneration(
         raise ValueError("B must be nonempty")
     if not set(B.points) < set(A.points):
         raise ValueError("B must be a proper subset of A")
-    n = A.dim
-    rest = [p for p in A.points if p not in B]
-    dirs = ctx.mod_directions
-    for d in dirs:
-        if len(d) != n:
-            raise ValueError("quotient direction dimension mismatch")
-
-    # Variables: u (free), c (free), delta (>=0), one surplus per strict row
-    # (>=0), one slack for delta <= 1 (>=0).
-    nstrict = len(rest)
-    nvars = n + 1 + 1 + nstrict + 1
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def blank() -> list[Fraction]:
-        return [_ZERO] * nvars
-
-    for d in dirs:
-        row = blank()
-        for i in range(n):
-            row[i] = Fraction(d[i])
-        rows.append(row)
-        rhs.append(_ZERO)
-    for b in B.points:
-        row = blank()
-        for i in range(n):
-            row[i] = Fraction(b[i])
-        row[n] = Fraction(-1)
-        rows.append(row)
-        rhs.append(_ZERO)
-    for idx, a in enumerate(rest):
-        row = blank()
-        for i in range(n):
-            row[i] = Fraction(a[i])
-        row[n] = Fraction(-1)
-        row[n + 1] = Fraction(-1)
-        row[n + 2 + idx] = Fraction(-1)
-        rows.append(row)
-        rhs.append(_ZERO)
-    cap = blank()
-    cap[n + 1] = _ONE
-    cap[n + 2 + nstrict] = _ONE
-    rows.append(cap)
-    rhs.append(_ONE)
-
-    objective = blank()
-    objective[n + 1] = _ONE
-    nonneg = [False] * (n + 1) + [True] * (1 + nstrict + 1)
-    res = solve_lp(objective, rows, rhs, nonneg)
-    if res.status != OPTIMAL or res.objective <= 0:
-        return None
-    u = clear_denominators(res.x[:n])
+    _check_dims(A, None, ctx)
+    b0 = B.points[0]
+    span, _ = linalg.rref(
+        [*ctx.mod_directions, *([x - y for x, y in zip(b, b0)] for b in B.points[1:])]
+    )
+    flat = ContainmentContext(map(clear_denominators, span))
+    rest = PointSet(p for p in A.points if p not in B)
+    try:
+        g = separating_functional(rest, b0, flat)
+    except ValueError:
+        return None  # b0 lies in conv(A minus B) + L
+    u = clear_denominators(g)
     if limit_support(A, u) != B:
         raise RuntimeError("internal: degeneration covector missed its target support")
     return u

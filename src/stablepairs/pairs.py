@@ -358,7 +358,7 @@ def futaki_gen(u: Sequence[int], p: Pair) -> int:
 def relative_invariant(
     p: Pair, chi: Sequence[int]
 ) -> tuple[int, dict[LatticePoint, int]]:
-    """Monomial certificate of semistability for a chosen v-support character.
+    """Monomial certificate for a chosen v-support character.
 
     Returns (d, exponents) with the exponents nonnegative integers on
     w-support points, summing to d, whose weighted character sum equals
@@ -366,18 +366,20 @@ def relative_invariant(
     w-coordinates with those exponents is then a degree-d eigenfunction of
     character d * chi that is nonzero at (v, w) and vanishes identically on
     the v side.
+
+    Only chi is certified: a ValueError means chi lies outside the weight
+    polytope of w.  Whether the whole pair is semistable is the caller's
+    question (`t_semistable`); a semistable pair has a certificate for
+    every chi of its v-support.
     """
     chi = lattice_point(chi)
     if chi not in p.v.support:
         raise ValueError(f"{chi} is not in the support of v")
-    verdict = t_semistable(p)
-    if not verdict.semistable:
-        raise ValueError("relative invariants exist only for semistable pairs")
     if chi in p.w.support:
         return 1, {chi: 1}  # the one-term combination: a single w-coordinate
     comb = convex_combination(p.w.support, chi, p.problem.ctx)
-    if comb is None:  # unreachable once semistable
-        raise RuntimeError("internal: containment lost between checks")
+    if comb is None:
+        raise ValueError(f"{chi} lies outside the weight polytope of w")
     lambdas, _ = comb
     d = 1
     for lam in lambdas:

@@ -5,7 +5,9 @@ they carry their own Gaussian elimination and decide containment by
 enumerating candidate half-spaces from point subsets, never by LP or by
 double description.  They are the ground truth the LP-based answers and
 the closed forms read off certificate normals are measured against.
-`kempf_ness_distance` is a second float formula for the energy.
+`face_limit_support` decides limit supports both ways from the
+subset-walk normals.  `kempf_ness_distance` is a second float formula
+for the energy.
 `facet_weight_semistable` is the one package-side criterion path here.
 """
 
@@ -306,6 +308,27 @@ def box_search_degeneration(A, B, directions=(), box=6):
         if all(_o_dot(u, a) > c for a in rest):
             return u
     return None
+
+
+def face_limit_support(A, B, ctx):
+    """Whether B is a limit support of A, decided on both sides by faces.
+
+    The sum of every `subset_walk_normals` covector whose argmin over A
+    contains B is minimized exactly on A intersected with the smallest
+    face containing B (the whole of A if no facet contains B).  Every
+    admissible covector constant on B has an argmin face containing that
+    one, so B is a limit support exactly when the two are equal.
+    """
+    pts = list(A.points)
+    Bset = set(B.points)
+    total = [0] * len(pts[0])
+    for u in subset_walk_normals(A, ctx):
+        values = [_o_dot(u, p) for p in pts]
+        low = min(values)
+        if all(v == low for p, v in zip(pts, values) if p in Bset):
+            total = [t + c for t, c in zip(total, u)]
+    values = [_o_dot(total, p) for p in pts]
+    return {p for p, v in zip(pts, values) if v == min(values)} == Bset
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,14 @@ import stablepairs.energy
 import stablepairs.pairs
 import stablepairs.polytope
 from stablepairs import Pair, StabilityProblem, WeightedVector
-from stablepairs.cli import MAX_ORACLE_DEGREE, MAX_RANK, main, parse_problem, serialize_pair
+from stablepairs.cli import (
+    MAX_ORACLE_DEGREE,
+    MAX_RANK,
+    MAX_VARIETY_N,
+    main,
+    parse_problem,
+    serialize_pair,
+)
 
 from helpers import random_binary_form
 
@@ -478,6 +485,46 @@ class TestVarietyCommand:
         )
         assert code == 2
 
+    def test_n_above_the_cap_is_refused_before_any_arithmetic(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("degrees called above the cap")
+
+        monkeypatch.setattr(stablepairs.cli, "degrees", fail)
+        code, payload = run(
+            capsys, "variety", "--n", "1", "--d", "2", "--mu", "1", "--N", str(MAX_VARIETY_N + 1)
+        )
+        assert code == 2
+        assert "cap" in payload["error"]
+
+    def test_n_at_the_cap_is_accepted(self, capsys):
+        n = MAX_VARIETY_N - 1
+        code, payload = run(
+            capsys, "variety", "--n", str(n), "--d", "2", "--mu", "0", "--N", str(MAX_VARIETY_N)
+        )
+        assert code == 0
+        assert len(payload["lambda_partition"]) == MAX_VARIETY_N + 1
+
+    def test_degrees_past_the_int_digit_limit_print_one_json_line(self, capsys):
+        # The common degree of a 4300-digit d has twice as many digits, past
+        # what Python converts to a string: an input error, not a torn line.
+        code = main(["variety", "--n", "1", "--d", "9" * 4300, "--mu", "0", "--N", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+class TestDispatch:
+    def test_parser_is_built_once(self, capsys, semistable_file):
+        stablepairs.cli.build_parser.cache_clear()
+        assert run(capsys, "check", semistable_file)[0] == 0
+        assert run(capsys, "extend", semistable_file, "--target", "[[1,0]]")[0] == 0
+        assert stablepairs.cli.build_parser.cache_info().misses == 1
+
+    def test_command_is_looked_up_at_call_time(self, capsys, monkeypatch, semistable_file):
+        assert run(capsys, "check", semistable_file) == (0, {"status": "semistable"})
+        monkeypatch.setattr(stablepairs.cli, "cmd_check", lambda args: 1)
+        assert run(capsys, "check", semistable_file) == (1, None)
+
 
 class TestHelp:
     def test_help_exits_cleanly(self, capsys):
@@ -505,9 +552,9 @@ class TestRoundTrip:
 
 # ---------------------------------------------------------------------------
 # Fuzzing the CLI contract: exit code in {0, 1, 2, 3}, JSON out, no traceback.
-# Ranks above the cap (17-80) must exit 2; the CLI does not yet cap other
-# input-driven work, so accepted ranks and coordinates stay small.  `binary`
-# and `variety` take no problem file.
+# Ranks above the cap (17-80) and variety N above its cap must exit 2; the
+# CLI does not yet cap other input-driven work, so accepted ranks and
+# coordinates stay small.  `binary` and `variety` take no problem file.
 
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
@@ -560,8 +607,8 @@ def _problems(draw):
 _TEXT = st.text(max_size=4)
 _NO_FILE = ("binary", "variety")
 
-# Root multiplicities reach past the oracle's degree cap.  Variety data stay
-# small: the CLI does not cap N, and the partitions it prints have N + 1 parts.
+# Root multiplicities reach past the oracle's degree cap, and variety N past
+# its cap.
 _FORM = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 20) | st.just(10**6)),
     max_size=4,
@@ -571,7 +618,8 @@ _BINARY_ARGS = st.tuples(
 ).flatmap(lambda args: st.sampled_from([list(args), [*args, "--oracle"]]))
 _SMALL = st.integers(-1, 12).map(str) | _TEXT
 _VARIETY_ARGS = st.tuples(
-    st.just("--n"), _SMALL, st.just("--d"), _SMALL, st.just("--N"), _SMALL,
+    st.just("--n"), _SMALL, st.just("--d"), _SMALL,
+    st.just("--N"), _SMALL | st.integers(MAX_VARIETY_N + 1, 10**9).map(str),
     st.just("--mu"), st.sampled_from(["0", "1", "-1", "2/3", "-4/3", "1/0", "nan", "x", ""]),
 ).flatmap(lambda args: st.sampled_from(
     [list(args)] + [[*args, "--genus", str(g)] for g in (-1, 0, 1, 3, 10)]
@@ -615,6 +663,13 @@ def _requests(draw):
     return problem, [command, *extra]
 
 
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(request=_requests())
 def test_cli_contract_under_fuzzing(request):
@@ -630,6 +685,8 @@ def test_cli_contract_under_fuzzing(request):
     assert code in (0, 1, 2, 3)
     rank = problem.get("rank") if isinstance(problem, dict) else None
     if type(rank) is int and rank > MAX_RANK:
+        assert code == 2
+    if argv[0] == "variety" and (_int_or_none(argv[argv.index("--N") + 1]) or 0) > MAX_VARIETY_N:
         assert code == 2
     assert "Traceback" not in out.getvalue() + err.getvalue()
     for line in out.getvalue().splitlines():

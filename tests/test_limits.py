@@ -13,7 +13,7 @@ from stablepairs import (
 )
 from stablepairs.lattice import dot
 
-from helpers import box_search_degeneration
+from helpers import box_search_degeneration, face_limit_support
 
 
 class TestExtensionCriterion:
@@ -70,6 +70,11 @@ class TestFindDegeneration:
     def test_infeasible_midpoint(self):
         A = PointSet([(0, 0), (1, 0), (-1, 0)])
         assert find_degeneration(A, PointSet([(1, 0), (-1, 0)])) is None
+
+    def test_direction_of_the_wrong_length_is_an_error(self):
+        A = PointSet([(1, 0), (0, 1), (2, 2)])
+        with pytest.raises(ValueError, match="dimension"):
+            find_degeneration(A, PointSet([(1, 0)]), ContainmentContext([(1, 1, 1)]))
 
     def test_respects_constraints(self):
         ctx = ContainmentContext([(1, 1)])
@@ -134,3 +139,38 @@ class TestRoundTripAndCompleteness:
                         assert limit_support(A, u) == B
                     checked += 1
         assert checked > 40
+
+
+def _contexts(rank):
+    """No direction, all-ones, (2, 3, 4, 5, 7) cut to the rank, and both."""
+    ones, cut = (1,) * rank, (2, 3, 4, 5, 7)[:rank]
+    out = [ContainmentContext(), ContainmentContext([ones]), ContainmentContext([cut])]
+    if rank >= 2:
+        out.append(ContainmentContext([ones, cut]))
+    return out
+
+
+@pytest.mark.slow
+def test_agrees_with_the_face_oracle_both_ways():
+    """None exactly when the smallest face containing B meets A in more
+    than B; otherwise u lands on B."""
+    rng = random.Random(7411)
+    found = missing = 0
+    for rank in range(1, 6):
+        for _ in range(12):
+            pts = {tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(2, 6))}
+            A = PointSet(pts)
+            if len(A) < 2:
+                continue
+            subsets = [PointSet(rng.sample(A.points, rng.randint(1, len(A) - 1))) for _ in range(4)]
+            for ctx in _contexts(rank):
+                for B in subsets:
+                    u = find_degeneration(A, B, ctx)
+                    assert (u is not None) == face_limit_support(A, B, ctx), (A, B, ctx)
+                    if u is None:
+                        missing += 1
+                    else:
+                        found += 1
+                        assert all(dot(u, d) == 0 for d in ctx.mod_directions)
+                        assert limit_support(A, u) == B
+    assert found > 100 and missing > 100

@@ -385,9 +385,31 @@ class TestRelativeInvariant:
         assert relative_invariant(p, (1, 1)) == (1, {(1, 1): 1})
 
     def test_rejects_unstable_pair(self):
+        # (0, 1) escapes the weight polytope of w: no monomial reaches it.
         p = Pair(WeightedVector([(1, 0), (0, 1)]), WeightedVector([(1, 0)]), FREE2)
+        with pytest.raises(ValueError, match="outside the weight polytope"):
+            relative_invariant(p, (0, 1))
+
+    def test_certifies_chi_inside_w_of_an_unstable_pair(self):
+        # (1, 1) escapes, so the pair is unstable, but chi = (1, 0) is the
+        # midpoint of the w-support and has its own certificate.
+        p = Pair(
+            WeightedVector([(1, 0), (1, 1)]), WeightedVector([(2, 0), (0, 0)]), FREE2
+        )
+        assert not t_semistable(p).semistable
+        d, exponents = relative_invariant(p, (1, 0))
+        assert (d, exponents) == (2, {(2, 0): 1, (0, 0): 1})
+        assert check_relative_invariant(p, (1, 0), d, exponents)
+
+    def test_one_lp_for_chi_outside_the_w_support(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        inside = Pair(WeightedVector([(1, 1)]), WeightedVector([(2, 0), (0, 2)]), FREE2)
+        escaping = Pair(WeightedVector([(1, 1)]), WeightedVector([(2, 0), (0, 0)]), FREE2)
+        relative_invariant(inside, (1, 1))
+        assert len(calls) == 1
         with pytest.raises(ValueError):
-            relative_invariant(p, (1, 0))
+            relative_invariant(escaping, (1, 1))
+        assert len(calls) == 2
 
     def test_rejects_chi_outside_support(self):
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), FREE2)
