@@ -10,9 +10,9 @@ between the translated pair point and the translated v-only point, grows
 along a one-parameter subgroup with slope equal to the generalized Futaki
 number, and is bounded below exactly when the pair is semistable.
 
-This is the one floating-point module; the verdict it touches, the
-boundedness dichotomy, is delegated to the exact `t_semistable`, and the
-exact slope form of the properness inequality lives in `pairs`.
+This is the one floating-point module; the boundedness dichotomy it
+touches is decided exactly on the certificate normals of the w-polytope,
+and the exact slope form of the properness inequality lives in `pairs`.
 
 `infimum_estimate` probes the energy only along lines s0 + t d.  Per line
 each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .lattice import Scalar, dot, require_admissible
-from . import linalg
-from .pairs import Pair, WeightedVector, t_semistable
-from .polytope import certificate_normals
+from .pairs import Pair, WeightedVector
+from .polytope import certificate_normals, min_functional
 
 _CONSTRAINT_TOL = 1e-9
 
@@ -162,19 +161,21 @@ def infimum_estimate(
     """Upper estimate of the infimum of the energy over the torus, or -inf.
 
     The unbounded case is decided exactly: the energy is unbounded below
-    iff the pair is torus-unstable.  Otherwise the estimate starts from the
-    energy at the identity; coordinate descent over a basis of the
-    admissible log-moduli subspace, refined by ray probes along the
-    certificate normals of the w-polytope, lowers it to a finite upper
-    bound.  Every probe lies on a line s0 + t d whose pairings are set up
-    once (see the module docstring), and every direction d, a basis vector
-    or a normal, is checked admissible exactly.
+    iff the pair is torus-unstable, iff some certificate normal of the
+    w-polytope has a smaller minimum on v than on w (so an unstable pair
+    pays for a facet enumeration).  Otherwise the estimate starts from the
+    energy at the identity; coordinate descent over the quotient basis of
+    the problem, refined by ray probes along the same normals, lowers it to
+    a finite upper bound.  Every probe lies on a line s0 + t d whose
+    pairings are set up once (see the module docstring), and every
+    direction d, a basis vector or a normal, is checked admissible exactly.
     """
-    if not t_semistable(p).semistable:
+    normals = certificate_normals(p.w.support, p.problem.ctx)
+    if any(min_functional(p.v.support, u) < min_functional(p.w.support, u) for u in normals):
         return -math.inf
     rank = p.problem.rank
     best = energy_at(p, [0.0] * rank)
-    basis = [_pairings(p, e) for e in linalg.nullspace(p.problem.constraints, rank)]
+    basis = [_pairings(p, e) for e in p.problem.ctx.covectors(rank)]
     if not basis:
         return best
     coeffs = [0.0] * len(basis)
@@ -192,7 +193,7 @@ def infimum_estimate(
                     lo = m1
             coeffs[k] = (lo + hi) / 2
             best = min(best, energy(coeffs[k]))
-    for u in certificate_normals(p.w.support, p.problem.ctx):
+    for u in normals:
         energy = _line(p, (), _pairings(p, u))
         for tau in (0.25, 0.5, 1.0, 2.0, 4.0, ray_reach):
             for sign in (1.0, -1.0):

@@ -377,10 +377,9 @@ def relative_invariant(
         raise ValueError(f"{chi} is not in the support of v")
     if chi in p.w.support:
         return 1, {chi: 1}  # the one-term combination: a single w-coordinate
-    comb = convex_combination(p.w.support, chi, p.problem.ctx)
-    if comb is None:
+    lambdas = convex_combination(p.w.support, chi, p.problem.ctx)
+    if lambdas is None:
         raise ValueError(f"{chi} lies outside the weight polytope of w")
-    lambdas, _ = comb
     d = 1
     for lam in lambdas:
         d = lcm(d, lam.denominator)

@@ -3,8 +3,11 @@
 Polytopes are handled as finite generating point sets; membership and
 containment questions are decided by exact LP feasibility, optionally
 modulo a list of quotient directions (the constraint covectors of the
-ambient problem).  Separating functionals come out of the Farkas
-certificate of the infeasible containment LP, so every negative answer is
+ambient problem).  The context computes the quotient map F once, and every
+hull question is one cone-membership LP in quotient coordinates
+(`_cone_lp`): nonnegative weights, no objective, no free variable.
+Separating functionals come out of the Farkas certificate of the
+infeasible containment LP, lifted through F, so every negative answer is
 machine-checkable.
 
 Facet enumeration exists only in `certificate_normals`, which runs the
@@ -15,7 +18,7 @@ pivot columns of the echelon basis of the point offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -30,9 +33,6 @@ from .lattice import (
 )
 from . import linalg
 from .linprog import INFEASIBLE, OPTIMAL, solve_lp
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -68,19 +68,36 @@ class ContainmentContext:
     """Directions to quotient by when testing hull membership.
 
     For the special linear convention this is the single all-ones vector:
-    characters are compared modulo the diagonal.
+    characters are compared modulo the diagonal.  The quotient map F, the
+    integer basis of the covectors vanishing on the directions, is computed
+    once here; directions that span the space leave F empty.
     """
 
     mod_directions: tuple[LatticePoint, ...] = ()
+    basis: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, mod_directions: Iterable[Sequence[Scalar]] = ()):
         dirs = tuple(lattice_point(d) for d in mod_directions)
-        if dirs:
-            if any(len(d) != len(dirs[0]) for d in dirs):
-                raise ValueError("directions of mixed dimension")
-            if linalg.matrix_rank(dirs) != len(dirs):
-                raise ValueError("quotient directions must be linearly independent")
+        dim = len(dirs[0]) if dirs else 0
+        if any(len(d) != dim for d in dirs):
+            raise ValueError("directions of mixed dimension")
+        _, basis = linalg.integral(linalg.nullspace(dirs, dim))
+        if len(basis) != dim - len(dirs):
+            raise ValueError("quotient directions must be linearly independent")
         object.__setattr__(self, "mod_directions", dirs)
+        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
+
+    def project(self, x: Sequence[Scalar]) -> Sequence[Scalar]:
+        """Fx: the quotient coordinates of x, or x itself without directions."""
+        if not self.mod_directions:
+            return x
+        return [dot(f, x) for f in self.basis]
+
+    def covectors(self, dim: int) -> Sequence[Sequence[int]]:
+        """F, or the standard basis of the dual of R^dim without directions."""
+        if self.mod_directions:
+            return self.basis
+        return [[int(j == i) for j in range(dim)] for i in range(dim)]
 
 
 NO_CONTEXT = ContainmentContext()
@@ -100,45 +117,36 @@ def _check_dims(A: PointSet, x: Sequence[Scalar] | None, ctx: ContainmentContext
     return dim
 
 
-def _containment_lp(A: PointSet, x: Sequence[Scalar], ctx: ContainmentContext):
-    """Feasibility LP for x in conv(A) + span(directions).
+def _cone_lp(columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]):
+    """Feasibility LP for target in the cone of the columns: a zero
+    objective and one nonnegative weight per column."""
+    k = len(columns)
+    return solve_lp([0] * k, list(zip(*columns)), list(target), [True] * k)
 
-    Variables: one nonnegative convex weight per point of A, one free
-    multiplier per quotient direction.  Rows: the coordinates plus the
-    weights-sum-to-one row.
-    """
-    dim = _check_dims(A, x, ctx)
-    pts = A.points
-    dirs = ctx.mod_directions
-    rows = []
-    rhs = []
-    for i in range(dim):
-        rows.append([Fraction(p[i]) for p in pts] + [Fraction(d[i]) for d in dirs])
-        rhs.append(Fraction(x[i]))
-    rows.append([_ONE] * len(pts) + [_ZERO] * len(dirs))
-    rhs.append(_ONE)
-    nonneg = [True] * len(pts) + [False] * len(dirs)
-    return solve_lp([_ZERO] * len(nonneg), rows, rhs, nonneg)
+
+def _containment_lp(A: PointSet, x: Sequence[Scalar], ctx: ContainmentContext):
+    """Feasibility LP for x in conv(A) + span(directions): (Fx, 1) in the
+    cone of the (Fa, 1), one column per point of A."""
+    _check_dims(A, x, ctx)
+    return _cone_lp([(*ctx.project(a), 1) for a in A.points], (*ctx.project(x), 1))
 
 
 def convex_combination(
     A: PointSet | Iterable[Sequence[Scalar]],
     x: Sequence[Scalar],
     ctx: ContainmentContext = NO_CONTEXT,
-) -> tuple[list[Fraction], list[Fraction]] | None:
+) -> list[Fraction] | None:
     """Weights expressing x over conv(A) + span(directions), or None.
 
-    Returns (lambdas aligned with the sorted points of A, direction
-    multipliers), with lambdas >= 0 summing to one.
+    The weights are aligned with the sorted points of A, nonnegative and
+    summing to one; x minus their combination lies in the span of the
+    directions.
     """
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
     res = _containment_lp(A, x, ctx)
-    if res.status != OPTIMAL:
-        return None
-    k = len(A.points)
-    return list(res.x[:k]), list(res.x[k:])
+    return res.x if res.status == OPTIMAL else None
 
 
 def contains_point(
@@ -187,8 +195,9 @@ def separating_functional(
     res = _containment_lp(A, x, ctx)
     if res.status != INFEASIBLE:
         raise ValueError("point is contained; no separating functional exists")
-    dim = A.dim
-    g = tuple(-y for y in res.farkas[:dim])
+    # -y pairs below on (Fx, 1) than on every (Fa, 1); lift it through F.
+    h = [-y for y in res.farkas[:-1]]
+    g = tuple(dot(h, col) for col in zip(*ctx.covectors(A.dim)))
     gx = dot(g, [Fraction(c) for c in x])
     if any(dot(g, d) != 0 for d in ctx.mod_directions) or not all(
         gx < dot(g, p) for p in A.points
@@ -236,32 +245,20 @@ def interior_contains(
 ) -> bool:
     """Relative-interior membership of x in conv(A) + span(directions).
 
-    x is relative-interior exactly when it has a representation with every
-    convex weight strictly positive.  One LP of dim + 1 rows decides it:
-    each weight is written lambda_a = delta + mu_a with mu_a >= 0 and a
-    common free delta, the rows are the coordinates of
-    sum (delta + mu_a) a + sum t_j d_j = x and |A| delta + sum mu_a = 1,
-    and the objective maximizes delta, which is at most 1/|A|.  x is
-    relative-interior exactly when the optimum is positive.
+    x is relative-interior exactly when sum lambda_a (Fa - Fx) = 0 for
+    some weights lambda_a all positive.  Scaled so that every weight is at
+    least one, lambda_a = 1 + mu_a with mu_a >= 0, that is one cone LP of
+    dim - nd rows and |A| columns:
+
+        sum (Fx - Fa)  in the cone of the  Fa - Fx.
     """
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
-    dim = _check_dims(A, x, ctx)
-    pts = A.points
-    dirs = ctx.mod_directions
-    k, nd = len(pts), len(dirs)
-    # Variables: mu (>= 0), direction multipliers (free), delta (free).
-    rows = [
-        [p[i] for p in pts] + [d[i] for d in dirs] + [sum(p[i] for p in pts)]
-        for i in range(dim)
-    ]
-    rows.append([1] * k + [0] * nd + [k])
-    rhs = [*x, 1]
-    objective = [0] * (k + nd) + [1]
-    nonneg = [True] * k + [False] * (nd + 1)
-    res = solve_lp(objective, rows, rhs, nonneg)
-    return res.status == OPTIMAL and res.objective > 0
+    _check_dims(A, x, ctx)
+    fx = ctx.project(x)
+    cols = [[c - cx for c, cx in zip(ctx.project(a), fx)] for a in A.points]
+    return _cone_lp(cols, [-sum(row) for row in zip(*cols)]).status == OPTIMAL
 
 
 def certificate_normals(
@@ -280,26 +277,21 @@ def certificate_normals(
     come from an exact double-description enumeration in hull coordinates
     (`_facet_normals`), not from a walk over point subsets.
 
-    Everything runs in integers.  The quotient basis is scaled by one
-    positive factor, which changes neither the hull map nor any primitive
-    output.  The hull coordinates of a point are its offset's entries in the
-    pivot columns of the echelon basis of the offsets, where that basis is
-    the identity; the facet normals are lifted through the hull map `T`,
-    scaled once to integers.
+    Everything runs in integers, in the quotient coordinates of the
+    context's integer basis F (`ContainmentContext.covectors`).  The hull
+    coordinates of a point are its offset's entries in the pivot columns of
+    the echelon basis of the offsets, where that basis is the identity; the
+    facet normals are lifted through the hull map `T`, scaled once to
+    integers.
     """
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
-    dim = _check_dims(A, None, ctx)
-    # Functional basis of the covectors annihilating the quotient directions.
-    if ctx.mod_directions:
-        _, fbasis = linalg.integral(linalg.nullspace(ctx.mod_directions, dim))
-    else:
-        fbasis = [[int(j == i) for j in range(dim)] for i in range(dim)]
+    fbasis = ctx.covectors(_check_dims(A, None, ctx))
     k = len(fbasis)
     if k == 0:
         return ()
-    phi = [[dot(f, p) for f in fbasis] for p in A.points]
+    phi = [ctx.project(p) for p in A.points]
     p0 = phi[0]
     offsets = [[a - b for a, b in zip(q, p0)] for q in phi[1:]]
     wrows, pivots = linalg.rref(offsets) if offsets else ([], [])

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import stablepairs.energy
+import stablepairs.linprog
+import stablepairs.polytope
 from stablepairs import (
     Pair,
     PointSet,
@@ -198,6 +200,43 @@ class TestInfimumEstimate:
             if flagged:
                 unstable += 1
         assert unstable > 40
+
+    def test_dichotomy_matches_exact_verdict_under_other_constraints(self):
+        # Non-unit and paired constraint directions, and a rank-1 problem
+        # whose constraint leaves a zero-dimensional quotient.
+        problems = [
+            StabilityProblem(1, [(1,)]),
+            StabilityProblem(2, [(2, 3)]),
+            StabilityProblem(3, [(2, 3, 5)]),
+            StabilityProblem(3, [(2, 3, 5), (1, -1, 0)]),
+            StabilityProblem(4, [(2, 3, 4, 5)]),
+        ]
+        rng = random.Random(56)
+        unstable = 0
+        for i in range(150):
+            problem = problems[i % len(problems)]
+            v, w = (random_support(rng, problem.rank, 4, -3, 3) for _ in range(2))
+            p = Pair(WeightedVector(v, random_magnitudes(rng, v)),
+                     WeightedVector(w, random_magnitudes(rng, w)), problem)
+            flagged = infimum_estimate(p, sweeps=1) == -math.inf
+            assert flagged == (not t_semistable(p).semistable)
+            unstable += flagged
+        assert 30 < unstable < 120
+
+    def test_no_lp_on_semistable_pairs(self, monkeypatch):
+        pairs = semistable_pairs(33, 24)  # each problem checks its reference with an LP
+        calls = []
+        real = stablepairs.linprog.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stablepairs.linprog, "solve_lp", counting)
+        monkeypatch.setattr(stablepairs.polytope, "solve_lp", counting)
+        for p in pairs:
+            assert math.isfinite(infimum_estimate(p))
+        assert calls == []
 
 
 class TestPropernessSlope:

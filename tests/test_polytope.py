@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -171,7 +172,7 @@ def test_separation_certificates_on_random_outsiders(data):
     A = _pointset(data, dim, 1, 6)
     x = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
     if contains_point(A, x):
-        lambdas, _ = convex_combination(A, x)
+        lambdas = convex_combination(A, x)
         assert sum(lambdas) == 1
         assert all(l >= 0 for l in lambdas)
         rebuilt = [
@@ -306,29 +307,106 @@ def test_interior_contains_matches_subset_walk_oracle(rank, constrained):
                 assert interior_contains(A, x, ctx) == _interior_by_normals(normals, A, x), (A, x)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_containment_through_the_quotient_basis_matches_subset_walk_oracle(rank, constrained):
+    """Containment and separation lifted through non-unit quotient bases:
+    x is contained exactly when no oracle normal pairs below the minimum
+    over A, and otherwise g vanishes on the directions and separates."""
+    rng = random.Random(3000 * rank + constrained)
+    for ctx in _quotient_contexts(rank, constrained):
+        for A in itertools.islice(_differential_sets(rng, rank), 1, None, 2):
+            normals = subset_walk_normals(A, ctx)
+            for x in _interior_probes(rng, A):
+                inside = all(dot(u, x) >= min_functional(A, u) for u in normals)
+                assert contains_point(A, x, ctx) == inside, (A, x)
+                if not inside:
+                    g = separating_functional(A, x, ctx)
+                    assert all(dot(g, d) == 0 for d in ctx.mod_directions)
+                    assert dot(g, x) < min(dot(g, a) for a in A)
+
+
+def _recording_lps(monkeypatch):
+    """(caller, objective, rows, nonneg) per `solve_lp` call from `polytope`."""
+    calls = []
+    real = stablepairs.polytope.solve_lp
+
+    def recording(objective, rows, rhs, nonneg, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, objective, rows, nonneg))
+        return real(objective, rows, rhs, nonneg, **kwargs)
+
+    monkeypatch.setattr(stablepairs.polytope, "solve_lp", recording)
+    return calls
+
+
 @pytest.mark.parametrize(
     "A, ctx",
     [
         (PointSet([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                    (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]), ContainmentContext()),
         (PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), ContainmentContext([(1, 1, 1)])),
+        (PointSet([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]),
+         ContainmentContext([(2, 3, 4, 5), (3, -1, 0, 4)])),
         (PointSet([(2, 3)]), ContainmentContext()),
     ],
-    ids=["cross4", "simplex_mod_diagonal", "singleton"],
+    ids=["cross4", "simplex_mod_diagonal", "two_directions", "singleton"],
 )
-def test_interior_contains_solves_one_lp_with_dim_plus_one_rows(monkeypatch, A, ctx):
-    shapes = []
-    real = stablepairs.polytope.solve_lp
-
-    def recording(objective, rows, rhs, nonneg, **kwargs):
-        shapes.append((len(rows), len(objective)))
-        return real(objective, rows, rhs, nonneg, **kwargs)
-
-    monkeypatch.setattr(stablepairs.polytope, "solve_lp", recording)
+def test_interior_contains_solves_one_cone_lp(monkeypatch, A, ctx):
+    calls = _recording_lps(monkeypatch)
     dim = A.dim
-    interior_contains(A, (0,) * dim, ctx)
+    assert interior_contains(A, (0,) * dim, ctx) == (len(A) > 1)
     k, nd = len(A), len(ctx.mod_directions)
-    assert shapes == [(dim + 1, k + nd + 1)]
+    assert [(len(rows), len(objective)) for _, objective, rows, _ in calls] == [(dim - nd, k)]
+
+
+def test_every_polytope_lp_is_a_cone_membership_problem(monkeypatch):
+    """Zero objective, every column nonnegative, and `_cone_lp` the one caller."""
+    calls = _recording_lps(monkeypatch)
+    rng = random.Random(17)
+    for rank in (1, 2, 3, 4):
+        for ctx in _quotient_contexts(rank, False) + _quotient_contexts(rank, True):
+            for A in itertools.islice(_differential_sets(rng, rank), 0, None, 6):
+                for x in _interior_probes(rng, A):
+                    interior_contains(A, x, ctx)
+                    if not contains_point(A, x, ctx):
+                        separating_functional(A, x, ctx)
+    assert len(calls) > 500
+    for caller, objective, rows, nonneg in calls:
+        assert caller == "_cone_lp"
+        assert not any(objective)
+        assert all(nonneg) and len(nonneg) == len(objective)
+
+
+class TestZeroDimensionalQuotient:
+    """Directions spanning the space: the quotient basis is empty."""
+
+    CTX = ContainmentContext([(1, 0), (0, 1)])
+
+    def test_every_basis_row_annihilates_the_directions(self):
+        assert self.CTX.basis == ()
+        for ctx in (CTX11, ContainmentContext([(2, 3, 4, 5), (3, -1, 0, 4)])):
+            dim = len(ctx.mod_directions[0])
+            assert len(ctx.basis) == dim - len(ctx.mod_directions)
+            assert all(dot(f, d) == 0 for f in ctx.basis for d in ctx.mod_directions)
+
+    def test_every_point_is_contained(self):
+        A = PointSet([(5, -7)])
+        for x in ((5, -7), (0, 0), (Fraction(1, 3), 9)):
+            assert contains_point(A, x, self.CTX)
+            assert interior_contains(A, x, self.CTX)
+            with pytest.raises(ValueError):
+                separating_functional(A, x, self.CTX)
+        assert convex_combination(A, (0, 0), self.CTX) == [1]
+
+    def test_no_certificate_normals(self):
+        assert certificate_normals(PointSet([(1, 0), (0, 3)]), self.CTX) == ()
+
+    def test_dependent_directions_still_raise(self):
+        with pytest.raises(ValueError):
+            ContainmentContext([(1, 0), (0, 1), (1, 1)])
+        with pytest.raises(ValueError):
+            ContainmentContext([(1, 2), (2, 4)])
 
 
 def test_certificate_normals_rank5_twenty_points_is_fast(monkeypatch):
