@@ -15,6 +15,14 @@ certificate y with
 which is exactly the separating datum the convex-geometry layer consumes.
 Bland's rule (smallest eligible index enters, smallest basis index breaks
 ratio ties) guarantees termination under degeneracy.
+
+The loop does only the work a feasibility question needs.  The reduced
+costs are one tableau row, updated by each pivot like the others, and the
+Farkas y is read off its artificial entries.  Phase 1 stops as soon as the
+artificials sum to 0, its optimum.  The artificial drive-out and phase 2
+run only for a nonzero objective; under a zero objective (every call from
+`polytope`) they would pivot degenerately or not at all, so x is the point
+phase 1 ends on.
 """
 
 from __future__ import annotations
@@ -84,7 +92,14 @@ def solve_lp(
         tableau[i].extend(_ONE if k == i else _ZERO for k in range(m))
     basis = [nsplit + i for i in range(m)]
 
+    # Phase 1 maximizes minus the sum of the artificials.  Its reduced costs
+    # (the column sums on x, 0 on the artificials) are one tableau row from
+    # here on, updated by each pivot, and z is the running objective value.
+    rc = [sum((r[j] for r in tableau), _ZERO) for j in range(nsplit)] + [_ZERO] * m
+    z = -sum(b, _ZERO)
+
     def pivot(r: int, j: int) -> None:
+        nonlocal z
         piv = tableau[r][j]
         tableau[r] = [x / piv for x in tableau[r]]
         b[r] /= piv
@@ -94,17 +109,16 @@ def solve_lp(
                 f = tableau[i][j]
                 tableau[i] = [x - f * y for x, y in zip(tableau[i], prow)]
                 b[i] -= f * b[r]
+        f = rc[j]
+        if f != 0:
+            rc[:] = [x - f * y for x, y in zip(rc, prow)]
+            z += f * b[r]
         basis[r] = j
 
-    def run(cost: list[Fraction], ncols: int) -> str:
-        while True:
-            cb = [cost[v] for v in basis]
-            entering = -1
-            for j in range(ncols):
-                rc = cost[j] - sum(cb[i] * tableau[i][j] for i in range(len(tableau)))
-                if rc > 0:
-                    entering = j
-                    break
+    def run(target: Fraction | None) -> str:
+        """Bland pivots until optimal, unbounded, or z reaches `target`."""
+        while z != target:
+            entering = next((j for j, v in enumerate(rc) if v > 0), -1)
             if entering < 0:
                 return OPTIMAL
             leave = -1
@@ -121,45 +135,50 @@ def solve_lp(
             if leave < 0:
                 return UNBOUNDED
             pivot(leave, entering)
+        return OPTIMAL
 
-    # Phase 1: drive the artificial variables to zero.
-    cost1 = [_ZERO] * nsplit + [Fraction(-1)] * m
-    run(cost1, nsplit + m)
-    infeas = -sum(cost1[basis[i]] * b[i] for i in range(len(tableau)))
-    if infeas > 0:
-        # Simplex multipliers off the artificial columns form the certificate.
-        cb = [cost1[v] for v in basis]
-        y = []
-        for i in range(m):
-            pi_i = sum(cb[r] * tableau[r][nsplit + i] for r in range(len(tableau)))
-            y.append(-flips[i] * pi_i)
-        return LPResult(INFEASIBLE, farkas=y)
+    # Phase 1 stops once the artificials sum to 0: that is its optimum, and
+    # every further pivot would be degenerate.
+    run(_ZERO)
+    if z < 0:
+        # Simplex multipliers off the artificial columns form the
+        # certificate: pi_i = -1 - rc_i.
+        return LPResult(
+            INFEASIBLE, farkas=[flips[i] * (1 + rc[nsplit + i]) for i in range(m)]
+        )
 
-    # Drive any artificial still in the basis out, dropping redundant rows.
-    keep = []
-    for r in range(len(tableau)):
-        if basis[r] < nsplit:
-            keep.append(r)
-            continue
-        j = next((j for j in range(nsplit) if tableau[r][j] != 0), None)
-        if j is not None:
-            pivot(r, j)
-            keep.append(r)
-    tableau = [tableau[r][:nsplit] for r in keep]
-    b = [b[r] for r in keep]
-    basis = [basis[r] for r in keep]
-
-    # Phase 2.
+    # Phase 2 and the drive-out before it change nothing under a zero
+    # objective: the drive-out pivots are degenerate and no reduced cost is
+    # positive.
     cost2 = [c_signed[j] * s for j, s in colmap]
-    if run(cost2, nsplit) == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+    if any(cost2):
+        # Phase-2 reduced costs on x only: the artificial columns leave with
+        # the drive-out, and each pivot's zip stops at the end of this row.
+        cb = [cost2[v] if v < nsplit else _ZERO for v in basis]
+        rc[:] = [cost2[j] - sum(cb[i] * tableau[i][j] for i in range(m)) for j in range(nsplit)]
+        z = sum(ci * bi for ci, bi in zip(cb, b))
+        # Drive any artificial still in the basis out, dropping redundant rows.
+        keep = []
+        for r in range(m):
+            if basis[r] < nsplit:
+                keep.append(r)
+                continue
+            j = next((j for j in range(nsplit) if tableau[r][j] != 0), None)
+            if j is not None:
+                pivot(r, j)
+                keep.append(r)
+        tableau = [tableau[r][:nsplit] for r in keep]
+        b = [b[r] for r in keep]
+        basis = [basis[r] for r in keep]
+        if run(None) == UNBOUNDED:
+            return LPResult(UNBOUNDED)
 
     xsplit = [_ZERO] * nsplit
     for r, v in enumerate(basis):
-        xsplit[v] = b[r]
+        if v < nsplit:
+            xsplit[v] = b[r]
     x = [_ZERO] * n
     for idx, (j, s) in enumerate(colmap):
         x[j] += s * xsplit[idx]
     value = sum(ci * xi for ci, xi in zip(c_orig, x))
     return LPResult(OPTIMAL, x=x, objective=value)
-

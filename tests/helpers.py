@@ -9,6 +9,8 @@ the closed forms read off certificate normals are measured against.
 subset-walk normals.  `kempf_ness_distance` is a second float formula
 for the energy.
 `facet_weight_semistable` is the one package-side criterion path here.
+`reference_solve_lp` is a plainer simplex, the differential oracle for
+`linprog.solve_lp`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 from stablepairs import (
     Pair,
@@ -28,6 +31,143 @@ from stablepairs import (
     cross_polytope,
     futaki_gen,
 )
+from stablepairs.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+
+
+# ---------------------------------------------------------------------------
+# A plainer two-phase simplex: reduced costs rebuilt every iteration, phase 1
+# run to optimality, then the artificial drive-out and phase 2 whatever the
+# objective.  It makes the pivots `linprog.solve_lp` makes, so on a zero
+# objective the two agree exactly: the differential oracle for the solver.
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def reference_solve_lp(
+    objective: Sequence,
+    rows: Sequence[Sequence],
+    rhs: Sequence,
+    nonneg: Sequence[bool],
+    maximize: bool = True,
+) -> LPResult:
+    n = len(objective)
+    if any(len(r) != n for r in rows):
+        raise ValueError("row length does not match number of variables")
+    if len(rows) != len(rhs):
+        raise ValueError("rhs length does not match number of rows")
+    if len(nonneg) != n:
+        raise ValueError("nonneg flags do not match number of variables")
+
+    c_orig = [Fraction(v) for v in objective]
+    c_signed = c_orig if maximize else [-v for v in c_orig]
+
+    # Free variables are split into positive and negative parts.
+    colmap: list[tuple[int, int]] = [(j, 1) for j in range(n)]
+    colmap += [(j, -1) for j in range(n) if not nonneg[j]]
+    nsplit = len(colmap)
+
+    # Rows are flipped so b >= 0; the flips are undone in the certificate.
+    tableau: list[list[Fraction]] = []
+    b: list[Fraction] = []
+    flips: list[int] = []
+    for row, bi_raw in zip(rows, rhs):
+        r = [Fraction(x) for x in row]
+        bi = Fraction(bi_raw)
+        cols = [r[j] * s for j, s in colmap]
+        if bi < 0:
+            cols = [-x for x in cols]
+            bi = -bi
+            flips.append(-1)
+        else:
+            flips.append(1)
+        tableau.append(cols)
+        b.append(bi)
+
+    m = len(tableau)
+    for i in range(m):
+        tableau[i].extend(_ONE if k == i else _ZERO for k in range(m))
+    basis = [nsplit + i for i in range(m)]
+
+    def pivot(r: int, j: int) -> None:
+        piv = tableau[r][j]
+        tableau[r] = [x / piv for x in tableau[r]]
+        b[r] /= piv
+        prow = tableau[r]
+        for i in range(len(tableau)):
+            if i != r and tableau[i][j] != 0:
+                f = tableau[i][j]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], prow)]
+                b[i] -= f * b[r]
+        basis[r] = j
+
+    def run(cost: list[Fraction], ncols: int) -> str:
+        while True:
+            cb = [cost[v] for v in basis]
+            entering = -1
+            for j in range(ncols):
+                rc = cost[j] - sum(cb[i] * tableau[i][j] for i in range(len(tableau)))
+                if rc > 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return OPTIMAL
+            leave = -1
+            best: Fraction | None = None
+            for i in range(len(tableau)):
+                a = tableau[i][entering]
+                if a > 0:
+                    ratio = b[i] / a
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return UNBOUNDED
+            pivot(leave, entering)
+
+    # Phase 1: drive the artificial variables to zero.
+    cost1 = [_ZERO] * nsplit + [Fraction(-1)] * m
+    run(cost1, nsplit + m)
+    infeas = -sum(cost1[basis[i]] * b[i] for i in range(len(tableau)))
+    if infeas > 0:
+        # Simplex multipliers off the artificial columns form the certificate.
+        cb = [cost1[v] for v in basis]
+        y = []
+        for i in range(m):
+            pi_i = sum(cb[r] * tableau[r][nsplit + i] for r in range(len(tableau)))
+            y.append(-flips[i] * pi_i)
+        return LPResult(INFEASIBLE, farkas=y)
+
+    # Drive any artificial still in the basis out, dropping redundant rows.
+    keep = []
+    for r in range(len(tableau)):
+        if basis[r] < nsplit:
+            keep.append(r)
+            continue
+        j = next((j for j in range(nsplit) if tableau[r][j] != 0), None)
+        if j is not None:
+            pivot(r, j)
+            keep.append(r)
+    tableau = [tableau[r][:nsplit] for r in keep]
+    b = [b[r] for r in keep]
+    basis = [basis[r] for r in keep]
+
+    # Phase 2.
+    cost2 = [c_signed[j] * s for j, s in colmap]
+    if run(cost2, nsplit) == UNBOUNDED:
+        return LPResult(UNBOUNDED)
+
+    xsplit = [_ZERO] * nsplit
+    for r, v in enumerate(basis):
+        xsplit[v] = b[r]
+    x = [_ZERO] * n
+    for idx, (j, s) in enumerate(colmap):
+        x[j] += s * xsplit[idx]
+    value = sum(ci * xi for ci, xi in zip(c_orig, x))
+    return LPResult(OPTIMAL, x=x, objective=value)
+
 
 
 # ---------------------------------------------------------------------------

@@ -690,4 +690,19 @@ def test_cli_contract_under_fuzzing(request):
         assert code == 2
     assert "Traceback" not in out.getvalue() + err.getvalue()
     for line in out.getvalue().splitlines():
-        json.loads(line)
+        payload = json.loads(line)
+        if code == 1 and "witness" in payload:
+            _assert_witness_destabilizes(payload["witness"], problem)
+
+
+def _assert_witness_destabilizes(u, problem):
+    """A printed witness, re-checked in plain integers against the problem
+    file it came from: an admissible covector with a strict weight gap."""
+    assert len(u) == problem["rank"] and all(type(c) is int for c in u)
+
+    def pairing(a):
+        return sum(x * y for x, y in zip(u, a, strict=True))
+
+    assert all(pairing(c) == 0 for c in problem.get("constraints", []))
+    v_weight = min(pairing(a) for a in problem["v"]["support"])
+    assert min(pairing(b) for b in problem["w"]["support"]) > v_weight
