@@ -100,16 +100,23 @@ def _line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides):
 
     s0 is the sum of c * d_j over `shift`, given as pairs (c, pairings of
     d_j); d is given by its pairings.  The bases log|c_a|^2 + 2<s0, a> are
-    summed once, so a probe costs one log-sum-exp per side.
+    summed once, so a probe costs one log-sum-exp per side, inlined over
+    the (base, slope) pairs zipped here, with the float operations of
+    `_log_sum_exp` in the same order.
     """
     bases = [list(p.w.log_magnitudes), list(p.v.log_magnitudes)]
     for c, sides in shift:
         bases = [[b + c * k for b, k in zip(base, side)] for base, side in zip(bases, sides)]
     (bw, bv), (kw, kv) = bases, along
+    w, v = list(zip(bw, kw)), list(zip(bv, kv))
+    exp, log = math.exp, math.log
 
     def energy(t: float) -> float:
-        return (_log_sum_exp([b + t * k for b, k in zip(bw, kw)])
-                - _log_sum_exp([b + t * k for b, k in zip(bv, kv)]))
+        xw = [b + t * k for b, k in w]
+        xv = [b + t * k for b, k in v]
+        mw, mv = max(xw), max(xv)
+        return ((mw + log(sum([exp(x - mw) for x in xw])))
+                - (mv + log(sum([exp(x - mv) for x in xv]))))
 
     return energy
 

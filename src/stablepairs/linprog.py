@@ -22,7 +22,9 @@ Farkas y is read off its artificial entries.  Phase 1 stops as soon as the
 artificials sum to 0, its optimum.  The artificial drive-out and phase 2
 run only for a nonzero objective; under a zero objective (every call from
 `polytope`) they would pivot degenerately or not at all, so x is the point
-phase 1 ends on.
+phase 1 ends on.  A zero objective over a zero right-hand side is
+answered before any tableau is built: x = 0 is feasible, and phase 1 would
+stop at once, its value -sum |b| already 0.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ def solve_lp(
         raise ValueError("rhs length does not match number of rows")
     if len(nonneg) != n:
         raise ValueError("nonneg flags do not match number of variables")
+    if not any(rhs) and not any(objective):
+        return LPResult(OPTIMAL, x=[_ZERO] * n, objective=_ZERO)
 
     c_orig = [Fraction(v) for v in objective]
     c_signed = c_orig if maximize else [-v for v in c_orig]

@@ -7,7 +7,9 @@ destabilizing one-parameter subgroup whose weight gap certifies the
 verdict; semistable ones can be asked for a relative-invariant monomial
 certificate.  Strict stability perturbs the pair by the reference polytope
 and a tensor exponent; the answers are read off certificate normals, where
-the question is one integer inequality linear in the exponent.
+the question is one integer inequality linear in the exponent; the base
+verdict of `stable` is read off the same normals, so an unstable base pays
+for a facet enumeration instead of containment LPs.
 """
 
 from __future__ import annotations
@@ -320,19 +322,23 @@ def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
 def stable(p: Pair, m_max: int) -> StableVerdict:
     """Least perturbation exponent, up to m_max, making the pair semistable.
 
-    A destabilized base short circuits.  Otherwise each certificate normal
-    u of the w-polytope asks a * m + b <= 0 with a <= 0 (`_slope_terms`):
+    The certificate normals of the w-polytope decide both steps.  The base
+    is unstable exactly when some normal u weighs more on w than on v
+    (`certificate_normals` contract), and that u is the witness; so an
+    unstable base pays for a facet enumeration, not for containment LPs.
+    Otherwise each normal asks a * m + b <= 0 with a <= 0 (`_slope_terms`):
     a = 0 < b rules out every m, a < 0 needs m >= b / -a.  The largest
     bound is the least exponent; one containment check confirms it.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    base = t_semistable(p)
-    if not base.semistable:
-        return StableVerdict.unstable_base(base.witness)
+    normals = certificate_normals(p.w.support, p.problem.ctx)
+    for u in normals:
+        if futaki_gen(u, p) > 0:
+            return StableVerdict.unstable_base(u)
     q = degree_of(p.v, p.problem)
     e = 1
-    for u in certificate_normals(p.w.support, p.problem.ctx):
+    for u in normals:
         a, b = _slope_terms(p, q, u)
         if a == 0 and b > 0:
             return StableVerdict.not_stable_up_to(m_max)  # never stable

@@ -251,6 +251,10 @@ def interior_contains(
     dim - nd rows and |A| columns:
 
         sum (Fx - Fa)  in the cone of the  Fa - Fx.
+
+    When x is the centroid of A modulo the directions (0 for the cross
+    polytope and for the special-linear simplex) that target is 0, and
+    `solve_lp` answers at once, without a tableau.
     """
     A = _as_pointset(A)
     if not A.points:

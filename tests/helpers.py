@@ -10,7 +10,8 @@ subset-walk normals.  `kempf_ness_distance` is a second float formula
 for the energy.
 `facet_weight_semistable` is the one package-side criterion path here.
 `reference_solve_lp` is a plainer simplex, the differential oracle for
-`linprog.solve_lp`.
+`linprog.solve_lp`, and `reference_line` the energy probe through a
+generic log-sum-exp, the bit-identity oracle for `energy._line`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from stablepairs import (
     Pair,
@@ -167,6 +168,40 @@ def reference_solve_lp(
         x[j] += s * xsplit[idx]
     value = sum(ci * xi for ci, xi in zip(c_orig, x))
     return LPResult(OPTIMAL, x=x, objective=value)
+
+
+# ---------------------------------------------------------------------------
+# The energy along a line through two calls of a generic log-sum-exp per
+# probe: the bit-identity oracle for `energy._line`, which inlines the same
+# float operations in the same order.
+
+def _log_sum_exp(terms: list[float]) -> float:
+    # log sum exp(terms), stabilized against overflow.
+    m = max(terms)
+    return m + math.log(sum(map(math.exp, [t - m for t in terms])))
+
+
+# Per side (w, then v), one float per support point.
+_Sides = tuple[list[float], list[float]]
+
+
+def reference_line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides):
+    """The energy along s0 + t d as a function of t.
+
+    s0 is the sum of c * d_j over `shift`, given as pairs (c, pairings of
+    d_j); d is given by its pairings.  The bases log|c_a|^2 + 2<s0, a> are
+    summed once, so a probe costs one log-sum-exp per side.
+    """
+    bases = [list(p.w.log_magnitudes), list(p.v.log_magnitudes)]
+    for c, sides in shift:
+        bases = [[b + c * k for b, k in zip(base, side)] for base, side in zip(bases, sides)]
+    (bw, bv), (kw, kv) = bases, along
+
+    def energy(t: float) -> float:
+        return (_log_sum_exp([b + t * k for b, k in zip(bw, kw)])
+                - _log_sum_exp([b + t * k for b, k in zip(bv, kv)]))
+
+    return energy
 
 
 

@@ -695,6 +695,41 @@ def test_cli_contract_under_fuzzing(request):
             _assert_witness_destabilizes(payload["witness"], problem)
 
 
+def test_witnesses_of_well_formed_problems_verify(tmp_path):
+    """Every exit-1 witness of `check`, `destabilize` and `stable` re-checks
+    in plain integers; the two base verdicts (the LP of `check`, the
+    normals of `stable`) agree.  Well-formed problems reach far more
+    witnesses than the fuzz test, most of whose draws carry a flaw."""
+    rng = random.Random(1308)
+    path = tmp_path / "problem.json"
+    checked = 0
+    for _ in range(70):
+        rank = rng.randint(1, 3)
+
+        def support():
+            n = rng.randint(1, 6)
+            return [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+
+        problem = {"rank": rank, "v": {"support": support()}, "w": {"support": support()}}
+        if rank >= 2 and rng.random() < 0.5:
+            problem["constraints"] = [[1] * rank]
+        path.write_text(json.dumps(problem))
+        statuses = {}
+        for argv in (["check"], ["destabilize"], ["stable", "--max-m", "4"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([argv[0], str(path), *argv[1:]])
+            payload = json.loads(out.getvalue())
+            statuses[argv[0]] = payload["status"]
+            assert code in (0, 1)
+            if code == 1 and "witness" in payload:
+                _assert_witness_destabilizes(payload["witness"], problem)
+                checked += 1
+        assert statuses["check"] == statuses["destabilize"]
+        assert (statuses["check"] == "unstable") == (statuses["stable"] == "unstable")
+    assert checked >= 60
+
+
 def _assert_witness_destabilizes(u, problem):
     """A printed witness, re-checked in plain integers against the problem
     file it came from: an admissible covector with a strict weight gap."""

@@ -33,6 +33,7 @@ from helpers import (
     random_pair,
     random_problem,
     random_support,
+    reference_line,
 )
 
 FREE1 = StabilityProblem.free(1)
@@ -314,6 +315,28 @@ class TestLineKernel:
                 assert abs(energy(t) - e) <= 1e-12 * max(1.0, abs(e))
         del kinds[1, True]  # rank 1 has no trace-zero problem with a nonzero direction
         assert min(kinds.values()) >= 8
+
+    def test_bit_identical_to_the_reference_probe(self):
+        """The inlined probe makes the float operations of `reference_line`
+        in the same order, so the two agree exactly, not to a tolerance."""
+        rng = random.Random(4242)
+        shifted = 0
+        for _ in range(120):
+            p = random_pair(rng, rank=rng.randint(1, 4), max_points=8, lo=-4, hi=4, weighted=True)
+            rank, cons = p.problem.rank, p.problem.constraints
+            basis = nullspace(cons, rank)
+            if not basis:
+                continue
+            d = rng.choice(basis + list(certificate_normals(p.w.support, p.problem.ctx)))
+            along = stablepairs.energy._pairings(p, d)
+            for shift in ([], [(rng.uniform(-5, 5), e) for e in basis]):
+                sides = [(c, stablepairs.energy._pairings(p, e)) for c, e in shift]
+                shifted += bool(sides)
+                energy = stablepairs.energy._line(p, sides, along)
+                reference = reference_line(p, sides, along)
+                for t in [0.0, 8.0, -8.0] + [rng.uniform(-10, 10) for _ in range(12)]:
+                    assert energy(t) == reference(t)
+        assert shifted >= 80
 
     def test_inadmissible_direction_rejected_exactly(self):
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]),

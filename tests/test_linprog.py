@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablepairs.linprog import (
@@ -202,3 +203,36 @@ def test_general_lps_match_reference_value(data):
             assert sum(a * x for a, x in zip(row, res.x)) == b
         assert all(x >= 0 for x, flag in zip(res.x, nonneg) if flag)
         assert sum(ci * x for ci, x in zip(c, res.x)) == res.objective
+
+
+@pytest.mark.parametrize("rows, nonneg", [
+    ([[1, -1, 2], [0, 3, -1]], [True, True, True]),
+    ([[1, 2], [2, 4], [-1, 0]], [True, False]),
+    ([[Fraction(1, 2), -3]], [False, False]),
+    ([], [True, True]),
+])
+def test_zero_objective_over_zero_rhs_is_the_origin(rows, nonneg):
+    """x = 0 is feasible and phase 1 has nothing to do: answered at once,
+    and equal to the plainer solver's full run."""
+    n = len(nonneg)
+    res = solve_lp([0] * n, rows, [0] * len(rows), nonneg)
+    assert res.status == OPTIMAL
+    assert res.x == [0] * n and res.objective == 0
+    assert res == reference_solve_lp([0] * n, rows, [0] * len(rows), nonneg)
+
+
+def test_nonzero_objective_over_zero_rhs_still_optimizes():
+    # x1 - x2 = 0 with x1, x2 >= 0: the minimum of x1 is 0, its supremum unbounded.
+    res = solve_lp([1, 0], [[1, -1]], [0], [True, True], maximize=False)
+    assert res.status == OPTIMAL and res.objective == 0
+    assert solve_lp([1, 0], [[1, -1]], [0], [True, True]).status == UNBOUNDED
+
+
+@pytest.mark.parametrize("objective, rows, rhs, nonneg", [
+    ([0, 0], [[1, 1, 1]], [0], [True, True]),   # row longer than the objective
+    ([0, 0], [[1, 1]], [0, 0], [True, True]),   # more rhs entries than rows
+    ([0, 0], [[1, 1]], [0], [True]),            # too few nonneg flags
+])
+def test_length_mismatch_over_zero_rhs_is_an_error(objective, rows, rhs, nonneg):
+    with pytest.raises(ValueError):
+        solve_lp(objective, rows, rhs, nonneg)

@@ -332,6 +332,44 @@ class TestClosedForms:
             degree_of(WeightedVector([(2, 1)]), StabilityProblem.free(2))
 
 
+class TestStableBaseOnNormals:
+    """`stable` reads its base verdict off the certificate normals of W; the
+    containment LP of `t_semistable` runs only to confirm an exponent."""
+
+    def test_t_semistable_runs_only_to_confirm(self, monkeypatch):
+        calls = []
+        real = stablepairs.pairs.t_semistable
+        monkeypatch.setattr(
+            stablepairs.pairs, "t_semistable", lambda p: calls.append(p) or real(p)
+        )
+        seen = {}
+        for _, p in _closed_form_instances(random.Random(271)):
+            calls.clear()
+            verdict = stable(p, 6)
+            expected = 1 if verdict.is_stable else 0
+            assert len(calls) == expected, verdict
+            seen[verdict.status] = seen.get(verdict.status, 0) + 1
+        assert seen[StableVerdict.STABLE] >= 20
+        assert seen[StableVerdict.NOT_STABLE_UP_TO] >= 10
+        assert seen[StableVerdict.UNSTABLE_BASE] >= 10
+
+    def test_unstable_witness_is_a_normal_with_a_weight_gap(self):
+        rng = random.Random(1308)
+        kinds = {False: 0, True: 0}
+        while min(kinds.values()) < 25:
+            p = random_pair(rng, max_points=6, lo=-4, hi=4)
+            verdict = stable(p, 4)
+            if verdict.status != StableVerdict.UNSTABLE_BASE:
+                continue
+            cons = p.problem.constraints
+            u = verdict.witness
+            assert u in certificate_normals(p.w.support, p.problem.ctx)
+            assert weight(u, p.w, cons) > weight(u, p.v, cons)
+            assert not t_semistable(p).semistable
+            kinds[bool(cons)] += 1
+        assert sum(kinds.values()) >= 50
+
+
 class TestCollapsedQuotient:
     """Constraints spanning the whole lattice collapse the quotient to a
     point: every pair is semistable and stable there, with no certificate
