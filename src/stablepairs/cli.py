@@ -48,7 +48,6 @@ from .pairs import (
     relative_invariant,
     stable,
     t_semistable,
-    weight,
 )
 from .polytope import PointSet
 from .varieties import VarietyDatum, degrees
@@ -105,7 +104,7 @@ def _list(value: Any, name: str) -> list:
 def parse_weighted_vector(obj: Any) -> WeightedVector:
     if not isinstance(obj, dict) or not isinstance(obj.get("support"), list):
         raise InputError("vector entries need a 'support' list")
-    support = [lattice_point(p) for p in obj["support"]]
+    support = obj["support"]  # checked by WeightedVector, each point once
     mags = obj.get("magnitudes")
     if mags is None:
         return WeightedVector(support)
@@ -200,8 +199,9 @@ def _parse_points(text: str) -> list[tuple[int, ...]]:
 
 def _verify_witness(pair: Pair, u: Sequence[int]) -> None:
     # Defense in depth: never print a witness that does not check out.
-    cons = pair.problem.constraints
-    if not is_admissible(u, cons) or not weight(u, pair.w, cons) > weight(u, pair.v, cons):
+    # Admissibility first: `futaki_gen` raises ValueError (exit 2) on an
+    # inadmissible u, and a bad witness is an internal failure (exit 3).
+    if not is_admissible(u, pair.problem.constraints) or not futaki_gen(u, pair) > 0:
         raise RuntimeError("internal: emitted witness failed verification")
 
 

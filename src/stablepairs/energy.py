@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .lattice import Scalar, dot, require_admissible
-from .pairs import Pair, WeightedVector
-from .polytope import certificate_normals, min_functional
+from .pairs import Pair, WeightedVector, futaki_gen
+from .polytope import certificate_normals
 
 _CONSTRAINT_TOL = 1e-9
 
@@ -169,7 +169,7 @@ def infimum_estimate(
 
     The unbounded case is decided exactly: the energy is unbounded below
     iff the pair is torus-unstable, iff some certificate normal of the
-    w-polytope has a smaller minimum on v than on w (so an unstable pair
+    w-polytope destabilizes, `futaki_gen` > 0 (so an unstable pair
     pays for a facet enumeration).  Otherwise the estimate starts from the
     energy at the identity; coordinate descent over the quotient basis of
     the problem, refined by ray probes along the same normals, lowers it to
@@ -178,7 +178,7 @@ def infimum_estimate(
     direction d, a basis vector or a normal, is checked admissible exactly.
     """
     normals = certificate_normals(p.w.support, p.problem.ctx)
-    if any(min_functional(p.v.support, u) < min_functional(p.w.support, u) for u in normals):
+    if any(futaki_gen(u, p) > 0 for u in normals):
         return -math.inf
     rank = p.problem.rank
     best = energy_at(p, [0.0] * rank)

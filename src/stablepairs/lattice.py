@@ -23,18 +23,26 @@ def lattice_point(coords: Iterable[Scalar]) -> LatticePoint:
     """Coerce coordinates to an exact integer tuple.
 
     Rejects anything non-integral: floats would silently poison the exact
-    verdicts downstream.
+    verdicts downstream.  A `Fraction` with denominator one and an `int`
+    subclass other than `bool` become plain ints; `bool`, `float`, `str` and
+    every other type raise `ValueError`.  Coordinates that are all plain
+    ints, the common case, are returned as one tuple without any conversion.
     """
-    out = []
-    for c in coords:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"non-integral lattice coordinate {c}")
-            c = c.numerator
-        elif isinstance(c, bool) or not isinstance(c, int):
-            raise ValueError(f"non-integer lattice coordinate {c!r}")
-        out.append(int(c))
-    return tuple(out)
+    out = tuple(coords)
+    for c in out:
+        if type(c) is not int:
+            return tuple(map(_integer, out))
+    return out
+
+
+def _integer(c: Scalar) -> int:
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"non-integral lattice coordinate {c}")
+        return c.numerator
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise ValueError(f"non-integer lattice coordinate {c!r}")
+    return int(c)
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:

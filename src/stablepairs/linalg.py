@@ -21,7 +21,13 @@ Rows = list[list[Fraction]]
 
 
 def integral(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
-    """The common denominator of all entries, and the rows times it."""
+    """The common denominator of all entries, and the rows times it.
+
+    Rows of plain ints, the common case, are only copied (denominator 1).
+    """
+    rows = [list(row) for row in rows]
+    if all([type(x) is int for row in rows for x in row]):
+        return 1, rows
     rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
     # One argument per distinct denominator, not per entry: CPython 3.11
     # never reuses a freed 20-tuple, so each call on a 20-entry matrix
@@ -30,22 +36,20 @@ def integral(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
-    """Reduced row echelon form.
+def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:
+    """Gauss-Jordan on the integer rows `m`, in place, by Bareiss's exact
+    division.
 
-    Returns the nonzero rows and the pivot column indices.  Gauss-Jordan
-    in integers: after each pivot every entry is a minor of the integer
-    matrix, so the division by the previous pivot is exact, and all pivot
-    rows end with the same pivot, the one divisor of the result.
+    Returns the last pivot and the pivot columns.  After each pivot every
+    entry is a minor of the integer matrix, so the division by the
+    previous pivot is exact, and all pivot rows end with the same pivot.
     """
-    _, m = integral(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
     pivots: list[int] = []
+    if not m:
+        return 1, pivots
     r = 0
     prev = 1
-    for c in range(ncols):
+    for c in range(len(m[0])):
         pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pr is None:
             continue
@@ -61,11 +65,30 @@ def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
         r += 1
         if r == len(m):
             break
-    return [[Fraction(a, prev) for a in row] for row in m[:r]], pivots
+    return prev, pivots
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
+    """Reduced row echelon form.
+
+    Returns the nonzero rows and the pivot column indices: the integer
+    elimination of `_eliminate`, whose last pivot is the one divisor of
+    the result.
+    """
+    _, m = integral(rows)
+    prev, pivots = _eliminate(m)
+    return [[Fraction(a, prev) for a in row] for row in m[:len(pivots)]], pivots
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    """Rank of the matrix: the number of pivots of the integer elimination
+    (`_eliminate`) of its rows scaled to integers.
+
+    No `Fraction` is built beyond the non-integer entries of the input, and
+    the answer is `len(rref(rows)[0])`.
+    """
+    _, m = integral(rows)
+    return len(_eliminate(m)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:

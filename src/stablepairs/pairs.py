@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm, log
 from typing import Iterable, Mapping, Sequence
 
@@ -83,8 +83,8 @@ class StabilityProblem:
         if not interior_contains(q_polytope, origin, ctx):
             raise ValueError("reference polytope must contain 0 in its interior")
         q0 = q_polytope.points[0]
-        spanning = [tuple(a - b for a, b in zip(q, q0)) for q in q_polytope.points[1:]]
-        spanning += [list(c) for c in cons]
+        spanning = [[a - b for a, b in zip(q, q0)] for q in q_polytope.points[1:]]
+        spanning += cons
         if linalg.matrix_rank(spanning) != rank:
             raise ValueError(
                 "reference polytope must be full-dimensional modulo the constraints"
@@ -114,7 +114,10 @@ class StabilityProblem:
         return cls(rank, (), q_polytope)
 
 
+@lru_cache(maxsize=64, typed=True)
 def cross_polytope(rank: int) -> PointSet:
+    """The points +-e_i of Z^rank, built once per rank (a `PointSet` is
+    immutable, so every caller may share it)."""
     pts = []
     for i in range(rank):
         e = [0] * rank
@@ -124,6 +127,39 @@ def cross_polytope(rank: int) -> PointSet:
     return PointSet(pts)
 
 
+_ONE = Fraction(1)
+
+
+def _fraction(m: Scalar) -> Fraction:
+    return m if type(m) is Fraction else Fraction(m)
+
+
+def _aligned_magnitudes(
+    ps: PointSet,
+    pts: Sequence[LatticePoint],
+    magnitudes: Mapping[Sequence[int], Scalar] | Iterable[Scalar],
+) -> tuple[Fraction, ...]:
+    """The magnitudes of `WeightedVector`, aligned with the points of ps;
+    pts are the checked input points, parallel to a magnitudes list."""
+    if isinstance(magnitudes, Mapping):
+        items = ((lattice_point(p), _fraction(m)) for p, m in magnitudes.items())
+    else:
+        mags = [_fraction(m) for m in magnitudes]
+        if len(mags) != len(pts):
+            raise ValueError("magnitudes do not match support points")
+        items = zip(pts, mags)
+    mag_map: dict[LatticePoint, Fraction] = {}
+    for p, m in items:
+        if mag_map.setdefault(p, m) != m:
+            raise ValueError(f"conflicting magnitudes for support point {p}")
+    if mag_map.keys() != set(ps.points):
+        raise ValueError("magnitudes must be given exactly on the support")
+    aligned = tuple(mag_map[p] for p in ps.points)
+    if any(m <= 0 for m in aligned):
+        raise ValueError("squared magnitudes must be strictly positive")
+    return aligned
+
+
 @dataclass(frozen=True)
 class WeightedVector:
     """A vector known through its character support and squared magnitudes.
@@ -131,6 +167,13 @@ class WeightedVector:
     `magnitudes[i]` is |v_a|^2 for the i-th support point, a strictly
     positive rational.  Verdicts depend only on the support; the energy
     module is the one consumer of the magnitudes.
+
+    The support is a `PointSet`, or points to build one from, or a mapping
+    from points to magnitudes; magnitudes are a list parallel to the input
+    points, a mapping from points, or omitted (all one).  Each point is
+    checked once, by `PointSet`.  A point given twice, or two inputs that
+    are the same point once checked (`(2,)` and `(Fraction(2),)`), merge
+    when their magnitudes are equal and raise when they differ.
     """
 
     support: PointSet
@@ -144,31 +187,17 @@ class WeightedVector:
         if isinstance(support, Mapping):
             if magnitudes is not None:
                 raise ValueError("magnitudes given twice")
-            magnitudes = {lattice_point(p): Fraction(m) for p, m in support.items()}
-            support = list(magnitudes)
-        pts_in = list(support.points if isinstance(support, PointSet) else
-                      [lattice_point(p) for p in support])
-        if not pts_in:
+            support, magnitudes = list(support), list(support.values())
+        if isinstance(support, PointSet):
+            ps, pts = support, support.points
+        else:
+            ps, pts = PointSet.checked(support)
+        if not pts:
             raise ValueError("a weighted vector needs a nonempty support")
         if magnitudes is None:
-            mag_map = {p: Fraction(1) for p in pts_in}
-        elif isinstance(magnitudes, Mapping):
-            mag_map = {lattice_point(p): Fraction(m) for p, m in magnitudes.items()}
+            aligned = (_ONE,) * len(ps)
         else:
-            mags = [Fraction(m) for m in magnitudes]
-            if len(mags) != len(pts_in):
-                raise ValueError("magnitudes do not match support points")
-            mag_map = {}
-            for p, m in zip(pts_in, mags):
-                if p in mag_map and mag_map[p] != m:
-                    raise ValueError(f"conflicting magnitudes for support point {p}")
-                mag_map[p] = m
-        ps = PointSet(pts_in)
-        if set(mag_map) != set(ps.points):
-            raise ValueError("magnitudes must be given exactly on the support")
-        aligned = tuple(mag_map[p] for p in ps.points)
-        if any(m <= 0 for m in aligned):
-            raise ValueError("squared magnitudes must be strictly positive")
+            aligned = _aligned_magnitudes(ps, pts, magnitudes)
         object.__setattr__(self, "support", ps)
         object.__setattr__(self, "magnitudes", aligned)
 
@@ -250,10 +279,9 @@ def t_semistable(p: Pair) -> Verdict:
     modulo the constraint directions.  Otherwise some support point of v
     escapes, the separating functional of the failed containment LP is
     cleared to a primitive integer covector, and that covector destabilizes:
-    its weight on w strictly exceeds its weight on v.
+    its weight on w strictly exceeds its weight on v (`futaki_gen` > 0).
     """
     ctx = p.problem.ctx
-    cons = p.problem.constraints
     for a in p.v.support:
         if a in p.w.support:
             continue
@@ -262,7 +290,7 @@ def t_semistable(p: Pair) -> Verdict:
         except ValueError:
             continue  # a lies in the weight polytope of w
         u = clear_denominators(g)
-        if not weight(u, p.w, cons) > weight(u, p.v, cons):
+        if not futaki_gen(u, p) > 0:
             raise RuntimeError("internal: destabilizer failed its weight check")
         return Verdict(False, u)
     return Verdict(True)
@@ -355,10 +383,11 @@ def futaki_gen(u: Sequence[int], p: Pair) -> int:
     """Generalized Futaki number of the pair along u: weight on w minus weight on v.
 
     Nonpositive over all admissible covectors exactly when the pair is
-    semistable.
+    semistable; u destabilizes exactly when it is positive, and that test
+    is the one way the package writes "u destabilizes".
     """
-    cons = p.problem.constraints
-    return weight(u, p.w, cons) - weight(u, p.v, cons)
+    require_admissible(u, p.problem.constraints)
+    return min_functional(p.w.support, u) - min_functional(p.v.support, u)
 
 
 def relative_invariant(

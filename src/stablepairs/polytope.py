@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import (
@@ -37,12 +38,28 @@ from .linprog import INFEASIBLE, OPTIMAL, solve_lp
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite, deduplicated, sorted set of lattice points."""
+    """A finite, deduplicated, sorted set of lattice points.
+
+    This is where points are checked: each input point goes once through
+    `lattice_point`, and all must have one dimension.
+    """
 
     points: tuple[LatticePoint, ...]
 
     def __init__(self, points: Iterable[Sequence[Scalar]] = ()):
-        pts = sorted({lattice_point(p) for p in points})
+        self._set_points(map(lattice_point, points))
+
+    @classmethod
+    def checked(cls, points: Iterable[Sequence[Scalar]]) -> tuple["PointSet", list[LatticePoint]]:
+        """The point set of `points` and its checked points in input order,
+        repeats kept, for a caller that aligns data with the input."""
+        pts = [lattice_point(p) for p in points]
+        ps = cls.__new__(cls)
+        ps._set_points(pts)
+        return ps, pts
+
+    def _set_points(self, pts: Iterable[LatticePoint]) -> None:
+        pts = sorted(set(pts))
         if pts and any(len(p) != len(pts[0]) for p in pts):
             raise ValueError("points of mixed dimension")
         object.__setattr__(self, "points", tuple(pts))
@@ -235,7 +252,9 @@ def min_functional(A: PointSet | Iterable[Sequence[Scalar]], u: Sequence[int]) -
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
-    return min(dot(u, p) for p in A.points)
+    if len(u) != A.dim:
+        raise ValueError(f"length mismatch: {len(u)} vs {A.dim}")
+    return min([sum(map(mul, u, p)) for p in A.points])
 
 
 def interior_contains(

@@ -293,6 +293,27 @@ class TestExitCodes:
         assert code == 3
         assert payload == {"error": "RuntimeError: internal: simulated"}
 
+    @pytest.mark.parametrize(
+        "witness", [(1, 0), (0, 0), (-1, 1)], ids=["inadmissible", "zero", "no_gap"]
+    )
+    def test_a_witness_that_fails_verification_is_internal(
+        self, capsys, monkeypatch, tmp_path, witness
+    ):
+        # An inadmissible witness is caught before `futaki_gen`, whose
+        # ValueError would read as an input error (exit 2).
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "rank": 2, "constraints": [[1, 1]], "Q": [[1, -1], [-1, 1]],
+            "v": {"support": [[1, 0], [0, 1]]}, "w": {"support": [[1, 0]]},
+        }))
+        monkeypatch.setattr(
+            stablepairs.cli, "t_semistable",
+            lambda pair: stablepairs.pairs.Verdict(False, witness),
+        )
+        code, payload = run(capsys, "check", str(path))
+        assert code == 3
+        assert payload == {"error": "RuntimeError: internal: emitted witness failed verification"}
+
 
 class TestStableCommand:
     def test_stable(self, capsys, stable_file):

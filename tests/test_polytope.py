@@ -117,6 +117,14 @@ class TestMinFunctional:
         with pytest.raises(ValueError):
             min_functional(PointSet([]), (1,))
 
+    @pytest.mark.parametrize("u", [(1,), (1, 0, 0)], ids=["short", "long"])
+    def test_length_mismatch_is_error(self, u):
+        with pytest.raises(ValueError, match=rf"^length mismatch: {len(u)} vs 2$"):
+            min_functional(PointSet([(2, 0), (0, 2)]), u)
+
+    def test_rational_functional(self):
+        assert min_functional([(2, 0), (0, 3)], (Fraction(1, 2), Fraction(-1, 3))) == -1
+
 
 class TestInteriorContains:
     def test_cross_center(self):
