@@ -125,7 +125,7 @@ def parse_problem(obj: Any) -> Pair:
         constraints = [lattice_point(c) for c in _list(obj.get("constraints", []), "constraints")]
         q_points = obj.get("Q")
         problem = StabilityProblem(
-            rank, constraints, PointSet(_list(q_points, "Q")) if q_points else None
+            rank, constraints, None if q_points is None else PointSet(_list(q_points, "Q"))
         )
         v = parse_weighted_vector(_field(obj, "v"))
         w = parse_weighted_vector(_field(obj, "w"))

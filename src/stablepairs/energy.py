@@ -158,13 +158,12 @@ def asymptotic_slope(p: Pair, u: Sequence[int]) -> float:
     return num / den
 
 
-def infimum_estimate(
-    p: Pair,
-    *,
-    sweeps: int = 4,
-    bracket: float = 8.0,
-    ray_reach: float = 8.0,
-) -> float:
+_SWEEPS = 4  # coordinate-descent passes over the quotient basis
+_BRACKET = 8.0  # half-width of each ternary search around the current point
+_RAY_TAUS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)  # probe distances along each normal
+
+
+def infimum_estimate(p: Pair) -> float:
     """Upper estimate of the infimum of the energy over the torus, or -inf.
 
     The unbounded case is decided exactly: the energy is unbounded below
@@ -186,11 +185,11 @@ def infimum_estimate(
     if not basis:
         return best
     coeffs = [0.0] * len(basis)
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         for k, along in enumerate(basis):
             shift = [(c, e) for j, (c, e) in enumerate(zip(coeffs, basis)) if j != k]
             energy = _line(p, shift, along)
-            lo, hi = coeffs[k] - bracket, coeffs[k] + bracket
+            lo, hi = coeffs[k] - _BRACKET, coeffs[k] + _BRACKET
             for _ in range(40):
                 m1 = lo + (hi - lo) / 3
                 m2 = hi - (hi - lo) / 3
@@ -202,7 +201,7 @@ def infimum_estimate(
             best = min(best, energy(coeffs[k]))
     for u in normals:
         energy = _line(p, (), _pairings(p, u))
-        for tau in (0.25, 0.5, 1.0, 2.0, 4.0, ray_reach):
+        for tau in _RAY_TAUS:
             for sign in (1.0, -1.0):
                 best = min(best, energy(sign * tau))
     return best

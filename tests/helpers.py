@@ -32,7 +32,7 @@ from stablepairs import (
     cross_polytope,
     futaki_gen,
 )
-from stablepairs.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from stablepairs.linprog import INFEASIBLE, OPTIMAL, LPResult
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,7 @@ from stablepairs.linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 # objective.  It makes the pivots `linprog.solve_lp` makes, so on a zero
 # objective the two agree exactly: the differential oracle for the solver.
 
+UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

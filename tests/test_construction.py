@@ -146,6 +146,12 @@ CLI_REJECTIONS = [
     ("q_flat_modulo_constraints",
      _problem(rank=3, constraints=[[1, 1, 1]], Q=[[1, -1, 0], [-1, 1, 0]],
               v={"support": [[1, 0, 0]]}, w={"support": [[1, 0, 0]]}), FULL_DIM),
+    # A falsy Q is a Q, not a request for the default cross polytope.
+    ("q_empty", _problem(Q=[]), "reference polytope must be nonempty of the problem rank"),
+    ("q_zero", _problem(Q=0), "'Q' must be a list"),
+    ("q_false", _problem(Q=False), "'Q' must be a list"),
+    ("q_empty_string", _problem(Q=""), "'Q' must be a list"),
+    ("q_empty_object", _problem(Q={}), "'Q' must be a list"),
 ]
 
 

@@ -195,7 +195,7 @@ class TestInfimumEstimate:
         unstable = 0
         for _ in range(200):
             p = random_pair(rng, rank=rng.randint(1, 3), max_points=4, lo=-3, hi=3, weighted=True)
-            est = infimum_estimate(p, sweeps=1)
+            est = infimum_estimate(p)
             flagged = est == -math.inf
             assert flagged == (not t_semistable(p).semistable)
             if flagged:
@@ -219,7 +219,7 @@ class TestInfimumEstimate:
             v, w = (random_support(rng, problem.rank, 4, -3, 3) for _ in range(2))
             p = Pair(WeightedVector(v, random_magnitudes(rng, v)),
                      WeightedVector(w, random_magnitudes(rng, w)), problem)
-            flagged = infimum_estimate(p, sweeps=1) == -math.inf
+            flagged = infimum_estimate(p) == -math.inf
             assert flagged == (not t_semistable(p).semistable)
             unstable += flagged
         assert 30 < unstable < 120
