@@ -119,28 +119,32 @@ class BinaryForm:
     def root_points(self) -> tuple[RootPoint, ...]:
         return tuple(p for p, _ in self.roots)
 
-    def coefficients(self) -> list[Fraction]:
-        """Exact coefficients c_i of x^i y^(degree - i), from the factorization.
-
-        The root [p : q] contributes the linear factor q x - p y.
-        """
-        coeffs = [self.scale]
+    def _expand(self, lead) -> list:
+        """Coefficients of x^i y^(degree - i) of lead times the product of the
+        root factors; the root [p : q] contributes the linear factor q x - p y."""
+        coeffs = [lead]
         for (p, q), mult in self.roots:
             for _ in range(mult):
-                new = [Fraction(0)] * (len(coeffs) + 1)
+                new = [0] * (len(coeffs) + 1)
                 for i, c in enumerate(coeffs):
                     new[i + 1] += q * c
-                    new[i] += -p * c
+                    new[i] -= p * c
                 coeffs = new
         return coeffs
+
+    def coefficients(self) -> list[Fraction]:
+        """Exact coefficients c_i of x^i y^(degree - i), from the factorization."""
+        return self._expand(self.scale)
 
     def diagonal_support(self) -> list[tuple[int]]:
         """Weights of the diagonal torus on the nonzero coefficients.
 
         x carries weight +1 and y weight -1, so x^i y^(d-i) sits at 2i - d.
+        Only the zero pattern matters, and the nonzero scale does not change
+        it, so the expansion runs in integers.
         """
         d = self.degree
-        return [(2 * i - d,) for i, c in enumerate(self.coefficients()) if c != 0]
+        return [(2 * i - d,) for i, c in enumerate(self._expand(1)) if c]
 
 
 @dataclass(frozen=True)

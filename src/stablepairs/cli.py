@@ -265,7 +265,7 @@ def cmd_relinv(args) -> int:
         _verify_witness(pair, verdict.witness)
         _emit({"status": "unstable", "witness": list(verdict.witness)})
         return EXIT_FALSE
-    d, exponents = relative_invariant(pair, chi)
+    d, exponents = relative_invariant(pair, chi, verdict)
     if not check_relative_invariant(pair, chi, d, exponents):
         raise RuntimeError("internal: relative invariant failed verification")
     _emit(

@@ -33,13 +33,14 @@ from .polytope import (
     ContainmentContext,
     PointSet,
     certificate_normals,
+    containment,
     convex_combination,
     hull_contains,
     interior_contains,
+    is_convex_combination,
     min_functional,
     minkowski_sum,
     scale,
-    separating_functional,
 )
 
 
@@ -78,7 +79,7 @@ class StabilityProblem:
             q_polytope = PointSet(q_polytope)
         if not q_polytope.points or q_polytope.dim != rank:
             raise ValueError("reference polytope must be nonempty of the problem rank")
-        ctx = ContainmentContext(cons)  # also validates independence
+        ctx = _context(cons)  # also validates independence
         origin = (0,) * rank
         if not interior_contains(q_polytope, origin, ctx):
             raise ValueError("reference polytope must contain 0 in its interior")
@@ -96,8 +97,9 @@ class StabilityProblem:
 
     @cached_property
     def q_normals(self) -> tuple[OnePS, ...]:
-        """Certificate normals of the reference polytope, computed once."""
-        return certificate_normals(self.q_polytope, self.ctx)
+        """Certificate normals of the reference polytope, computed once per
+        ambient (`_reference_normals`)."""
+        return _reference_normals(self.q_polytope, self.ctx)
 
     @classmethod
     def special_linear(cls, n: int) -> "StabilityProblem":
@@ -112,6 +114,26 @@ class StabilityProblem:
     ) -> "StabilityProblem":
         """Unconstrained torus of the given rank; cross-polytope reference by default."""
         return cls(rank, (), q_polytope)
+
+
+# Ambient data shared by equal problems.  Both values are immutable, so
+# sharing them is safe; the checks of `StabilityProblem.__init__` still run
+# on every build, and a rejected constraint tuple (an exception) is not
+# cached.
+
+
+@lru_cache(maxsize=64)
+def _context(constraints: tuple[LatticePoint, ...]) -> ContainmentContext:
+    """The containment context of a constraint tuple, built once."""
+    return ContainmentContext(constraints)
+
+
+@lru_cache(maxsize=64)
+def _reference_normals(
+    q_polytope: PointSet, ctx: ContainmentContext
+) -> tuple[OnePS, ...]:
+    """Certificate normals of a reference polytope, enumerated once."""
+    return certificate_normals(q_polytope, ctx)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -230,8 +252,20 @@ class Pair:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A torus-semistability verdict and its certificate.
+
+    An unstable verdict carries its destabilizing `witness`.  A semistable
+    one carries in `weights` the convex weights, aligned with the sorted
+    w-support, of each v-point outside the w-support: the solutions of the
+    containment LPs that decided it.  The weights take no part in
+    equality or `repr`.
+    """
+
     semistable: bool
     witness: OnePS | None = None
+    weights: Mapping[LatticePoint, tuple[Fraction, ...]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -276,24 +310,26 @@ def t_semistable(p: Pair) -> Verdict:
     """Decide torus semistability of the pair exactly.
 
     Semistable iff the weight polytope of v is contained in that of w
-    modulo the constraint directions.  Otherwise some support point of v
-    escapes, the separating functional of the failed containment LP is
-    cleared to a primitive integer covector, and that covector destabilizes:
-    its weight on w strictly exceeds its weight on v (`futaki_gen` > 0).
+    modulo the constraint directions: one containment LP per v-point
+    outside the w-support.  If every point lies inside, the verdict keeps
+    the convex weights of each.  Otherwise some point escapes, the
+    separating functional of its failed LP is cleared to a primitive
+    integer covector, and that covector destabilizes: its weight on w
+    strictly exceeds its weight on v (`futaki_gen` > 0).
     """
     ctx = p.problem.ctx
+    weights = {}
     for a in p.v.support:
         if a in p.w.support:
             continue
-        try:
-            g = separating_functional(p.w.support, a, ctx)
-        except ValueError:
-            continue  # a lies in the weight polytope of w
-        u = clear_denominators(g)
-        if not futaki_gen(u, p) > 0:
-            raise RuntimeError("internal: destabilizer failed its weight check")
-        return Verdict(False, u)
-    return Verdict(True)
+        answer = containment(p.w.support, a, ctx)
+        if answer.weights is None:
+            u = clear_denominators(answer.separator)
+            if not futaki_gen(u, p) > 0:
+                raise RuntimeError("internal: destabilizer failed its weight check")
+            return Verdict(False, u)
+        weights[a] = answer.weights
+    return Verdict(True, weights=weights)
 
 
 def degree_of(v: WeightedVector, problem: StabilityProblem) -> int:
@@ -391,7 +427,7 @@ def futaki_gen(u: Sequence[int], p: Pair) -> int:
 
 
 def relative_invariant(
-    p: Pair, chi: Sequence[int]
+    p: Pair, chi: Sequence[int], verdict: Verdict | None = None
 ) -> tuple[int, dict[LatticePoint, int]]:
     """Monomial certificate for a chosen v-support character.
 
@@ -405,14 +441,20 @@ def relative_invariant(
     Only chi is certified: a ValueError means chi lies outside the weight
     polytope of w.  Whether the whole pair is semistable is the caller's
     question (`t_semistable`); a semistable pair has a certificate for
-    every chi of its v-support.
+    every chi of its v-support.  Given that pair's semistable `verdict`, the
+    weights of chi are read off it instead of solving the LP again; they
+    are re-checked against the w-support first, and weights that do not
+    check out (a verdict of another pair) are ignored.
     """
     chi = lattice_point(chi)
     if chi not in p.v.support:
         raise ValueError(f"{chi} is not in the support of v")
     if chi in p.w.support:
         return 1, {chi: 1}  # the one-term combination: a single w-coordinate
-    lambdas = convex_combination(p.w.support, chi, p.problem.ctx)
+    ctx = p.problem.ctx
+    lambdas = verdict.weights.get(chi) if verdict is not None else None
+    if lambdas is None or not is_convex_combination(p.w.support, chi, lambdas, ctx):
+        lambdas = convex_combination(p.w.support, chi, ctx)
     if lambdas is None:
         raise ValueError(f"{chi} lies outside the weight polytope of w")
     d = 1

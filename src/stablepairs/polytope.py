@@ -6,9 +6,11 @@ modulo a list of quotient directions (the constraint covectors of the
 ambient problem).  The context computes the quotient map F once, and every
 hull question is one cone-membership LP in quotient coordinates
 (`_cone_lp`): nonnegative weights, no objective, no free variable.
-Separating functionals come out of the Farkas certificate of the
-infeasible containment LP, lifted through F, so every negative answer is
-machine-checkable.
+`containment` asks whether a point lies in a hull by one such LP and
+returns a checked certificate either way: the convex weights of a feasible
+LP, or the separating functional read off the Farkas certificate of an
+infeasible one, lifted through F.  `convex_combination` and
+`separating_functional` are its two halves.
 
 Facet enumeration exists only in `certificate_normals`, which runs the
 double-description method in exact integer arithmetic (Motzkin et al.
@@ -33,7 +35,7 @@ from .lattice import (
     lattice_point,
 )
 from . import linalg
-from .linprog import INFEASIBLE, OPTIMAL, solve_lp
+from .linprog import OPTIMAL, solve_lp
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,89 @@ def _cone_lp(columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]):
     return solve_lp([0] * k, list(zip(*columns)), list(target), [True] * k)
 
 
-def _containment_lp(A: PointSet, x: Sequence[Scalar], ctx: ContainmentContext):
-    """Feasibility LP for x in conv(A) + span(directions): (Fx, 1) in the
-    cone of the (Fa, 1), one column per point of A."""
+def _containment_columns(A: PointSet, x: Sequence[Scalar], ctx: ContainmentContext):
+    """The columns (Fa, 1), one per point of A, and the target (Fx, 1): x
+    lies in conv(A) + span(directions) exactly when the target is in the
+    cone of the columns."""
     _check_dims(A, x, ctx)
-    return _cone_lp([(*ctx.project(a), 1) for a in A.points], (*ctx.project(x), 1))
+    return [(*ctx.project(a), 1) for a in A.points], (*ctx.project(x), 1)
+
+
+def _combines(columns: Sequence[Sequence[int]], weights: Sequence[Fraction], target) -> bool:
+    """Exact check that the weights are nonnegative and weigh the columns
+    to the target, in integers over their common denominator."""
+    if len(weights) != len(columns):
+        return False
+    den, (nums,) = linalg.integral([weights])
+    if any(n < 0 for n in nums):
+        return False
+    terms = [(n, col) for n, col in zip(nums, columns) if n]
+    return all(
+        sum(n * col[r] for n, col in terms) == den * t for r, t in enumerate(target)
+    )
+
+
+@dataclass(frozen=True)
+class Containment:
+    """The answer to one containment question, x in conv(A) + span(directions).
+
+    Exactly one field is set.  `weights` are convex weights of x, aligned
+    with the sorted points of A; `separator` is a rational g with
+    <g, x> < min over A of <g, a>, vanishing on the directions.  Each was
+    checked exactly before it was returned.
+    """
+
+    weights: tuple[Fraction, ...] | None = None
+    separator: RationalFunctional | None = None
+
+
+def containment(
+    A: PointSet | Iterable[Sequence[Scalar]],
+    x: Sequence[Scalar],
+    ctx: ContainmentContext = NO_CONTEXT,
+) -> Containment:
+    """Decide x in conv(A) + span(directions) by one cone LP, with its
+    certificate either way.
+
+    A feasible LP gives the convex weights of x, checked against the LP's
+    own columns.  An infeasible one gives the Farkas certificate, lifted
+    through F to a separating functional and checked against every point.
+    A certificate that fails its check raises RuntimeError.
+    """
+    A = _as_pointset(A)
+    if not A.points:
+        raise ValueError("empty point set")
+    columns, target = _containment_columns(A, x, ctx)
+    res = _cone_lp(columns, target)
+    if res.status == OPTIMAL:
+        weights = tuple(res.x)
+        if not _combines(columns, weights, target):
+            raise RuntimeError("internal: convex weights failed verification")
+        return Containment(weights=weights)
+    # -y pairs below on (Fx, 1) than on every (Fa, 1); lift it through F.
+    h = [-y for y in res.farkas[:-1]]
+    g = tuple(dot(h, col) for col in zip(*ctx.covectors(A.dim)))
+    # Checked in integers, on the positive multiple of g that clears it.
+    _, (gi,) = linalg.integral([g])
+    gx = dot(gi, x)
+    if any(dot(gi, d) for d in ctx.mod_directions) or not all(
+        gx < dot(gi, p) for p in A.points
+    ):
+        raise RuntimeError("internal: separation certificate failed verification")
+    return Containment(separator=g)
+
+
+def is_convex_combination(
+    A: PointSet | Iterable[Sequence[Scalar]],
+    x: Sequence[Scalar],
+    weights: Sequence[Fraction],
+    ctx: ContainmentContext = NO_CONTEXT,
+) -> bool:
+    """Exact check that the weights, aligned with the sorted points of A,
+    are nonnegative, sum to one and combine the points to x modulo the
+    directions: the check `containment` puts on its own weights."""
+    columns, target = _containment_columns(_as_pointset(A), x, ctx)
+    return _combines(columns, weights, target)
 
 
 def convex_combination(
@@ -159,11 +239,8 @@ def convex_combination(
     summing to one; x minus their combination lies in the span of the
     directions.
     """
-    A = _as_pointset(A)
-    if not A.points:
-        raise ValueError("empty point set")
-    res = _containment_lp(A, x, ctx)
-    return res.x if res.status == OPTIMAL else None
+    weights = containment(A, x, ctx).weights
+    return None if weights is None else list(weights)
 
 
 def contains_point(
@@ -206,20 +283,9 @@ def separating_functional(
     This is the Farkas certificate of the infeasible containment LP.
     Calling it on a contained point is an error.
     """
-    A = _as_pointset(A)
-    if not A.points:
-        raise ValueError("empty point set")
-    res = _containment_lp(A, x, ctx)
-    if res.status != INFEASIBLE:
+    g = containment(A, x, ctx).separator
+    if g is None:
         raise ValueError("point is contained; no separating functional exists")
-    # -y pairs below on (Fx, 1) than on every (Fa, 1); lift it through F.
-    h = [-y for y in res.farkas[:-1]]
-    g = tuple(dot(h, col) for col in zip(*ctx.covectors(A.dim)))
-    gx = dot(g, [Fraction(c) for c in x])
-    if any(dot(g, d) != 0 for d in ctx.mod_directions) or not all(
-        gx < dot(g, p) for p in A.points
-    ):
-        raise RuntimeError("internal: separation certificate failed verification")
     return g
 
 

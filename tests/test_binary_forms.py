@@ -54,6 +54,22 @@ class TestBinaryForm:
         f = BinaryForm({(1, 0): 2, (0, 1): 1})
         assert f.coefficients() == [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_support_is_the_nonzero_pattern_of_the_coefficients(self, seed):
+        rng = random.Random(seed)
+        forms = [BinaryForm.parse("[1:1] [-1:1]"), BinaryForm.parse("[3:2]^2 [-3:2]^2 [0:1]")]
+        for _ in range(100):
+            f = random_binary_form(rng, rng.randint(0, 9))
+            forms.append(BinaryForm(f.roots, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))))
+        gaps = 0
+        for f in forms:
+            coeffs = f.coefficients()
+            assert all(type(c) is Fraction for c in coeffs)
+            pattern = [(2 * i - f.degree,) for i, c in enumerate(coeffs) if c != 0]
+            assert f.diagonal_support() == pattern
+            gaps += len(pattern) < f.degree + 1
+        assert gaps >= 2
+
 
 class TestSemistableBf:
     def test_double_root_violates(self):

@@ -367,6 +367,40 @@ class TestRelinv:
         assert code == 1
         assert payload["status"] == "unstable"
 
+    def test_chi_outside_w_costs_no_second_lp(self, capsys, monkeypatch, tmp_path):
+        """The verdict's weights certify chi: `relinv` solves the LPs of
+        `check` and no more; without the verdict it would solve one more."""
+        path = tmp_path / "mid.json"
+        path.write_text(json.dumps(
+            {"rank": 2, "v": {"support": [[1, 1]]}, "w": {"support": [[2, 0], [0, 2]]}}
+        ))
+        calls = []
+        solve_lp = stablepairs.polytope.solve_lp
+
+        def counting(*args):
+            calls.append(1)
+            return solve_lp(*args)
+
+        def lps(*argv):
+            calls.clear()
+            out = run(capsys, *argv)
+            return len(calls), out
+
+        monkeypatch.setattr(stablepairs.polytope, "solve_lp", counting)
+        check_lps, _ = lps("check", str(path))
+        relinv_lps, (code, payload) = lps("relinv", str(path), "--chi", "1,1")
+        assert code == 0
+        assert payload["degree"] == 2
+        assert payload["exponents"] == [[[0, 2], 1], [[2, 0], 1]]
+        assert relinv_lps == check_lps
+        relative_invariant = stablepairs.cli.relative_invariant
+        monkeypatch.setattr(
+            stablepairs.cli, "relative_invariant", lambda p, chi, verdict: relative_invariant(p, chi)
+        )
+        without_verdict_lps, (_, again) = lps("relinv", str(path), "--chi", "1,1")
+        assert again == payload
+        assert without_verdict_lps == relinv_lps + 1
+
 
 class TestLimitAndExtend:
     def test_limit_found(self, capsys, unstable_file):
@@ -762,3 +796,33 @@ def _assert_witness_destabilizes(u, problem):
     assert all(pairing(c) == 0 for c in problem.get("constraints", []))
     v_weight = min(pairing(a) for a in problem["v"]["support"])
     assert min(pairing(b) for b in problem["w"]["support"]) > v_weight
+
+
+@pytest.mark.slow
+def test_shared_ambients_and_verdict_weights_leave_cli_output_unchanged(monkeypatch, tmp_path):
+    """Every request of the benchmark's `cli_mix` pools for seeds 1-3 prints
+    the same bytes and exits the same way as it does with every ambient
+    rebuilt from scratch and `relinv` solving its own LP for chi."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    mix = workloads.CliMix()
+    items = []
+    for seed in (1, 2, 3):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        for batch in mix.setup(random.Random(seed), str(workdir)):
+            items.extend(batch)
+    shared = [mix.run(item) for item in items]
+
+    pairs = stablepairs.pairs
+    relative_invariant = stablepairs.cli.relative_invariant
+    monkeypatch.setattr(pairs, "_context", pairs._context.__wrapped__)
+    monkeypatch.setattr(pairs, "_reference_normals", pairs._reference_normals.__wrapped__)
+    monkeypatch.setattr(
+        stablepairs.cli, "relative_invariant", lambda p, chi, verdict=None: relative_invariant(p, chi)
+    )
+    rebuilt = [mix.run(item) for item in items]
+    assert len(items) == 3 * 960
+    assert {item["cmd"] for item in items} >= {"relinv", "stable"}
+    assert shared == rebuilt

@@ -276,6 +276,40 @@ def test_every_problem_runs_every_check(monkeypatch):
     assert calls == ["interior_contains", "matrix_rank"] * 4
 
 
+def test_equal_ambients_share_context_and_reference_normals():
+    a = StabilityProblem(3, [(1, 1, 1)])
+    b = StabilityProblem(3, [(1, 1, 1)])
+    assert a.ctx is b.ctx and a.q_normals is b.q_normals
+    other_constraint = StabilityProblem(3, [(1, -1, 0)])
+    assert other_constraint.ctx is not a.ctx
+    assert other_constraint.q_normals != a.q_normals
+    other_q = StabilityProblem(3, [(1, 1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert other_q.ctx is a.ctx
+    assert other_q.q_normals is not a.q_normals
+    assert other_q.q_normals != a.q_normals
+
+
+def test_rejected_ambient_raises_on_every_build():
+    cached = stablepairs.pairs._context.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="linearly independent"):
+            StabilityProblem(2, [(1, 1), (2, 2)])
+        with pytest.raises(ValueError, match=INTERIOR):
+            StabilityProblem(2, [], [(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match=FULL_DIM):
+            StabilityProblem(2, [], [(0, 0)])
+    assert stablepairs.pairs._context.cache_info().currsize <= cached + 1
+
+
+def test_ambient_memos_stay_bounded():
+    for k in range(1, 101):
+        problem = StabilityProblem(2, [(1, k)])
+        assert problem.q_normals
+    for memo in (stablepairs.pairs._context, stablepairs.pairs._reference_normals):
+        info = memo.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64
+
+
 def test_matrix_rank_of_integer_rows_builds_no_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stablepairs.linprog
 import stablepairs.pairs
@@ -11,10 +12,12 @@ from stablepairs import (
     PointSet,
     StabilityProblem,
     StableVerdict,
+    Verdict,
     WeightedVector,
     certificate_normals,
     check_relative_invariant,
     contains_point,
+    convex_combination,
     degree_of,
     futaki_gen,
     interior_contains,
@@ -28,6 +31,7 @@ from stablepairs import (
 )
 
 from helpers import (
+    _o_in_span,
     brute_hull_contains,
     facet_weight_semistable,
     random_pair,
@@ -104,6 +108,28 @@ def _count_lps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fresh_reference_normals():
+    """An empty reference-normals memo, emptied again afterwards, so that
+    nothing computed under a patched `certificate_normals` stays cached."""
+    memo = stablepairs.pairs._reference_normals
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
+def assert_weights_certify(p, verdict):
+    """The test's own check of a semistable verdict's weights: one entry per
+    v-point outside the w-support, each nonnegative, summing to one, and
+    combining the w-points to that v-point modulo the constraints."""
+    w = p.w.support.points
+    assert verdict.weights.keys() == {a for a in p.v.support if a not in p.w.support}
+    for chi, lam in verdict.weights.items():
+        assert len(lam) == len(w) and all(x >= 0 for x in lam) and sum(lam) == 1
+        combo = [sum(x * b[i] for x, b in zip(lam, w)) for i in range(p.problem.rank)]
+        assert _o_in_span(p.problem.constraints, [c - x for c, x in zip(combo, chi)])
+
+
 class TestTSemistable:
     def test_vertex_containment(self):
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), FREE2)
@@ -142,6 +168,64 @@ class TestTSemistable:
         assert SL_LIKE.ctx is SL_LIKE.ctx
         assert SL_LIKE.ctx.mod_directions == ((1, 1),)
 
+    def test_semistable_weights_pass_an_exact_check(self):
+        rng = random.Random(47)
+        semistable = constrained = 0
+        for _ in range(300):
+            p = random_pair(rng)
+            verdict = t_semistable(p)
+            if verdict.semistable:
+                assert_weights_certify(p, verdict)
+                semistable += 1
+                constrained += bool(p.problem.constraints) and bool(verdict.weights)
+            else:
+                assert verdict.weights == {}
+        assert semistable >= 30 and constrained >= 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_semistable_weights_pass_an_exact_check_on_drawn_pairs(self, data):
+        rank = data.draw(st.integers(1, 3))
+        cons = [(1,) * rank] if rank >= 2 and data.draw(st.booleans()) else []
+        coords = st.tuples(*[st.integers(-3, 3)] * rank)
+        v, w = (data.draw(st.sets(coords, min_size=1, max_size=6)) for _ in range(2))
+        p = Pair(WeightedVector(v), WeightedVector(w), StabilityProblem(rank, cons))
+        verdict = t_semistable(p)
+        if verdict.semistable:
+            assert_weights_certify(p, verdict)
+
+    def test_weights_take_no_part_in_equality_or_repr(self):
+        p = Pair(WeightedVector([(1, 1)]), WeightedVector([(2, 0), (0, 2)]), FREE2)
+        verdict = t_semistable(p)
+        assert verdict.weights == {(1, 1): (Fraction(1, 2), Fraction(1, 2))}
+        assert verdict == Verdict(True) and hash(verdict) == hash(Verdict(True))
+        assert repr(verdict) == "Verdict(semistable=True, witness=None)"
+
+    @pytest.mark.parametrize(
+        "w, chi, wrong",
+        [
+            ([(2, 0), (0, 2)], (1, 1), [1, 0]),  # combines to the wrong point
+            ([(0, 0), (2, 0), (4, 0)], (1, 0), [Fraction(1, 4), 1, Fraction(-1, 4)]),
+        ],
+        ids=["wrong-point", "negative-weight"],
+    )
+    def test_wrong_lp_weights_raise(self, monkeypatch, w, chi, wrong):
+        real = stablepairs.polytope.solve_lp
+
+        def mutant(*args):
+            res = real(*args)
+            res.x = [Fraction(x) for x in wrong]
+            return res
+
+        monkeypatch.setattr(stablepairs.polytope, "solve_lp", mutant)
+        p = Pair(WeightedVector([chi]), WeightedVector(w), FREE2)
+        with pytest.raises(RuntimeError, match="convex weights"):
+            t_semistable(p)
+        with pytest.raises(RuntimeError, match="convex weights"):
+            convex_combination(p.w.support, chi)
+        with pytest.raises(RuntimeError, match="convex weights"):
+            relative_invariant(p, chi)
+
 
 class TestDegree:
     def test_examples(self):
@@ -154,16 +238,19 @@ class TestDegree:
         # (3, 1) is (1, -1)-ish modulo the diagonal: fits in 2Q but not Q
         assert degree_of(WeightedVector([(3, 1)]), prob) == 2
 
-    def test_reference_normals_computed_once_per_problem(self, monkeypatch):
-        prob = StabilityProblem.free(3)
+    def test_reference_normals_computed_at_most_once_per_ambient(
+        self, monkeypatch, fresh_reference_normals
+    ):
         real = stablepairs.pairs.certificate_normals
         seen = []
         monkeypatch.setattr(
             stablepairs.pairs, "certificate_normals", lambda A, *a: seen.append(A) or real(A, *a)
         )
-        assert degree_of(WeightedVector([(2, 1, 0)]), prob) == 3
-        assert degree_of(WeightedVector([(0, -3, 1)]), prob) == 4
-        assert sum(A is prob.q_polytope for A in seen) == 1
+        first, second = StabilityProblem.free(3), StabilityProblem.free(3)
+        assert degree_of(WeightedVector([(2, 1, 0)]), first) == 3
+        assert degree_of(WeightedVector([(0, -3, 1)]), second) == 4
+        assert degree_of(WeightedVector([(1, 1, 1)]), first) == 3
+        assert seen == [first.q_polytope]
 
 
 class TestPerturb:
@@ -320,7 +407,7 @@ class TestClosedForms:
             compared += 1
         assert compared >= 25
 
-    def test_dropped_normal_is_caught(self, monkeypatch):
+    def test_dropped_normal_is_caught(self, monkeypatch, fresh_reference_normals):
         real = stablepairs.pairs.certificate_normals
         monkeypatch.setattr(
             stablepairs.pairs, "certificate_normals", lambda A, ctx: real(A, ctx)[1:]
@@ -328,7 +415,7 @@ class TestClosedForms:
         with pytest.raises(RuntimeError):
             stable(EXPONENT_THREE, 10)
         with pytest.raises(RuntimeError):
-            # a fresh problem: FREE2 may already hold its reference normals
+            # a fresh problem and an empty memo: the normals are enumerated here
             degree_of(WeightedVector([(2, 1)]), StabilityProblem.free(2))
 
 
@@ -453,6 +540,41 @@ class TestRelativeInvariant:
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), FREE2)
         with pytest.raises(ValueError):
             relative_invariant(p, (0, 1))
+
+    def test_verdict_weights_save_the_lp(self, monkeypatch):
+        calls = _count_lps(monkeypatch)
+        rng = random.Random(8)
+        compared = 0
+        while compared < 40:
+            p = random_pair(rng)
+            calls.clear()
+            verdict = t_semistable(p)
+            decided = len(calls)
+            if not verdict.semistable:
+                continue
+            for chi in p.v.support:
+                calls.clear()
+                with_verdict = relative_invariant(p, chi, verdict)
+                assert calls == []
+                assert relative_invariant(p, chi) == with_verdict
+                assert len(calls) == (chi not in p.w.support)
+            # the whole relinv path: one LP per v-point outside w, none after
+            assert decided == len(verdict.weights)
+            compared += 1
+
+    def test_weights_of_another_pair_are_ignored(self):
+        # Same v and w points, but the other pair is read modulo the
+        # diagonal: its weights for (0, 0) do not combine to (0, 0) here.
+        v, w = WeightedVector([(0, 0)]), WeightedVector([(1, 0), (0, 1), (1, 1)])
+        other = t_semistable(Pair(v, w, SL_LIKE))
+        assert other.semistable and (0, 0) in other.weights
+        p = Pair(v, w, FREE2)
+        with pytest.raises(ValueError, match="outside the weight polytope"):
+            relative_invariant(p, (0, 0), other)
+        inside = Pair(WeightedVector([(1, 1)]), WeightedVector([(2, 0), (0, 2)]), FREE2)
+        tampered = Verdict(True, weights={(1, 1): (Fraction(1), Fraction(0))})
+        d, exponents = relative_invariant(inside, (1, 1), tampered)
+        assert (d, exponents) == (2, {(2, 0): 1, (0, 2): 1})
 
 
 class TestRandomizedProperties:

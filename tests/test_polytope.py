@@ -14,6 +14,7 @@ from stablepairs import (
     ContainmentContext,
     PointSet,
     certificate_normals,
+    containment,
     contains_point,
     convex_combination,
     hull_contains,
@@ -25,7 +26,7 @@ from stablepairs import (
 )
 from stablepairs.lattice import dot
 
-from helpers import brute_hull_contains, subset_walk_normals
+from helpers import _o_in_span, brute_hull_contains, subset_walk_normals
 
 CTX11 = ContainmentContext([(1, 1)])
 
@@ -173,23 +174,47 @@ def test_hull_containment_matches_halfspace_oracle(data):
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_separation_certificates_on_random_outsiders(data):
+    """`containment` answers with exactly one certificate, checked here
+    independently; its two halves are `convex_combination` and
+    `separating_functional`."""
     dim = data.draw(st.integers(1, 3))
     A = _pointset(data, dim, 1, 6)
     x = data.draw(st.tuples(*[st.integers(-6, 6)] * dim))
-    if contains_point(A, x):
-        lambdas = convex_combination(A, x)
+    dirs = [(1,) * dim] if dim >= 2 and data.draw(st.booleans()) else []
+    ctx = ContainmentContext(dirs)
+    answer = containment(A, x, ctx)
+    assert (answer.weights is None) != (answer.separator is None)
+    assert contains_point(A, x, ctx) == brute_hull_contains(A.points, [x], dirs)
+    if contains_point(A, x, ctx):
+        lambdas = convex_combination(A, x, ctx)
+        assert lambdas == list(answer.weights)
         assert sum(lambdas) == 1
         assert all(l >= 0 for l in lambdas)
         rebuilt = [
             sum(l * p[i] for l, p in zip(lambdas, A.points)) for i in range(dim)
         ]
-        assert rebuilt == [Fraction(c) for c in x]
+        assert _o_in_span(dirs, [r - c for r, c in zip(rebuilt, x)])
+        assert stablepairs.polytope.is_convex_combination(A, x, lambdas, ctx)
     else:
-        g = separating_functional(A, x)
+        g = separating_functional(A, x, ctx)
+        assert g == answer.separator
+        assert all(dot(g, d) == 0 for d in dirs)
         assert dot(g, [Fraction(c) for c in x]) < min(dot(g, p) for p in A.points)
+
+
+def test_is_convex_combination_rejects_wrong_weights():
+    A = PointSet([(0, 0), (2, 0), (4, 0)])
+    check = stablepairs.polytope.is_convex_combination
+    half = Fraction(1, 2)
+    assert check(A, (1, 0), [half, half, 0])
+    assert not check(A, (1, 0), [half, half])  # one weight short
+    assert not check(A, (1, 0), [Fraction(1, 4), 1, Fraction(-1, 4)])  # negative
+    assert not check(A, (1, 0), [half, 0, half])  # combines to (2, 0)
+    assert not check(A, (1, 0), [half, Fraction(1, 4), 0])  # sums to 3/4
+    assert check(A, (1, 5), [half, half, 0], ContainmentContext([(0, 1)]))
 
 
 @settings(max_examples=60, deadline=None)
