@@ -29,6 +29,15 @@ it ends on.  Phase 1 is bounded above by 0, so every entering column has a
 row to leave.  A zero right-hand side is answered before any tableau is
 built: x = 0 is feasible, and phase 1 would stop at once, its value
 -sum |b| already 0.
+
+Each pivot is sparse.  The nonzero entries of the pivot row are divided
+and their columns listed once; every other row whose entering-column entry
+is nonzero, and the reduced-cost row, is updated in place on those columns
+only.  A zero entry (most of the artificial block, and the zero
+coordinates of small lattice points) is never touched, and the pivots and
+every entry are those of the dense update.  Bland's entering rule and the
+ratio test check the sign of the numerator: a `Fraction`'s denominator is
+always positive.
 """
 
 from __future__ import annotations
@@ -97,28 +106,34 @@ def solve_lp(
     rc = [sum((r[j] for r in tableau), _ZERO) for j in range(n)] + [_ZERO] * m
     z = -sum(b, _ZERO)
     while z:
-        entering = next((j for j, v in enumerate(rc) if v > 0), -1)
+        entering = next((j for j, v in enumerate(rc) if v.numerator > 0), -1)
         if entering < 0:
             break
         leave = -1
         best: Fraction | None = None
         for i, row in enumerate(tableau):
             a = row[entering]
-            if a > 0:
+            if a.numerator > 0:
                 ratio = b[i] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
-        piv = tableau[leave][entering]
-        prow = tableau[leave] = [x / piv for x in tableau[leave]]
+        # The sparse pivot: only the pivot row's nonzero columns change.
+        prow = tableau[leave]
+        piv = prow[entering]
+        nz = [j for j, x in enumerate(prow) if x]
+        for j in nz:
+            prow[j] /= piv
         bl = b[leave] = b[leave] / piv
         for i, row in enumerate(tableau):
             f = row[entering]
-            if i != leave and f != 0:
-                tableau[i] = [x - f * y for x, y in zip(row, prow)]
+            if f and i != leave:
+                for j in nz:
+                    row[j] -= f * prow[j]
                 b[i] -= f * bl
         f = rc[entering]
-        rc = [x - f * y for x, y in zip(rc, prow)]
+        for j in nz:
+            rc[j] -= f * prow[j]
         z += f * bl
         basis[leave] = entering
 

@@ -392,14 +392,22 @@ def stable(p: Pair, m_max: int) -> StableVerdict:
     unstable base pays for a facet enumeration, not for containment LPs.
     Otherwise each normal asks a * m + b <= 0 with a <= 0 (`_slope_terms`):
     a = 0 < b rules out every m, a < 0 needs m >= b / -a.  The largest
-    bound is the least exponent; one containment check confirms it.
+    bound is the least exponent; one containment check confirms it.  A
+    normal with a = 0 and weight(u, w) >= 0 has b > 0 whatever the module
+    degree q >= 1 (min_Q(u) < 0), so it settles "never stable" before q is
+    computed.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     normals = certificate_normals(p.w.support, p.problem.ctx)
+    never = False
     for u in normals:
-        if futaki_gen(u, p) > 0:
+        a = futaki_gen(u, p)
+        if a > 0:
             return StableVerdict.unstable_base(u)
+        never = never or (a == 0 and min_functional(p.w.support, u) >= 0)
+    if never:
+        return StableVerdict.not_stable_up_to(m_max)
     q = degree_of(p.v, p.problem)
     e = 1
     for u in normals:

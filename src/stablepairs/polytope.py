@@ -335,19 +335,24 @@ def interior_contains(
     least one, lambda_a = 1 + mu_a with mu_a >= 0, that is one cone LP of
     dim - nd rows and |A| columns:
 
-        sum (Fx - Fa)  in the cone of the  Fa - Fx.
+        F(|A| x - sum a)  in the cone of the  Fa - Fx.
 
-    When x is the centroid of A modulo the directions (0 for the cross
-    polytope and for the special-linear simplex) that target is 0, and
-    `solve_lp` answers at once, without a tableau.
+    The target is computed first, with one projection.  When it is 0, x is
+    the centroid of A modulo the directions (0 for the cross polytope and
+    for the special-linear simplex), and weight 1 on every point is the
+    certificate: no LP is posed.
     """
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
     _check_dims(A, x, ctx)
+    n = len(A.points)
+    target = ctx.project([n * c - sum(col) for c, col in zip(x, zip(*A.points))])
+    if not any(target):
+        return True
     fx = ctx.project(x)
     cols = [[c - cx for c, cx in zip(ctx.project(a), fx)] for a in A.points]
-    return _cone_lp(cols, [-sum(row) for row in zip(*cols)]).status == OPTIMAL
+    return _cone_lp(cols, target).status == OPTIMAL
 
 
 def certificate_normals(

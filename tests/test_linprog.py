@@ -1,12 +1,16 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablepairs.linprog
+import stablepairs.polytope
+from stablepairs import Pair, WeightedVector, relative_invariant, stable, t_semistable
 from stablepairs.linprog import INFEASIBLE, OPTIMAL, solve_lp
 
-from helpers import reference_solve_lp
+from helpers import random_pair, random_problem, reference_solve_lp
 
 
 def _farkas_separates(y, rows, rhs):
@@ -107,21 +111,34 @@ def test_beale_rows_as_a_feasibility_problem():
 
 @st.composite
 def _cone_lps(draw):
-    """Cone membership as `polytope._cone_lp` poses it: columns (a, 1) and
-    target (x, 1), or a homogeneous system with a zero right-hand side, with
-    redundant rows mixed in."""
-    dim = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 5))
-    cols = [draw(st.lists(small_int, min_size=dim, max_size=dim)) for _ in range(k)]
-    target = draw(st.lists(small_int, min_size=dim, max_size=dim))
-    if draw(st.booleans()):
+    """Cone membership as `polytope._cone_lp` poses it, at the sizes of the
+    benchmark pools: up to 5 rows and 12 columns.  Columns (a, 1) and target
+    (x, 1), or a homogeneous system, with duplicate, zero and unit columns,
+    zero targets and redundant rows mixed in."""
+    dim = draw(st.integers(1, 4))
+    homogenized = draw(st.booleans())
+    k = draw(st.integers(1, 12))
+    cols = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("random", "random", "duplicate", "zero", "unit")))
+        if kind == "duplicate" and cols:
+            cols.append(list(draw(st.sampled_from(cols))))
+        elif kind == "zero":
+            cols.append([0] * dim)
+        elif kind == "unit":
+            i = draw(st.integers(0, dim - 1))
+            cols.append([draw(st.sampled_from((1, -1))) * (j == i) for j in range(dim)])
+        else:
+            cols.append(draw(st.lists(small_int, min_size=dim, max_size=dim)))
+    target = [0] * dim if draw(st.booleans()) else draw(
+        st.lists(small_int, min_size=dim, max_size=dim)
+    )
+    if homogenized:
         cols = [[*c, 1] for c in cols]
         target = [*target, 1]
-    elif draw(st.booleans()):
-        target = [0] * dim
     rows = [list(r) for r in zip(*cols)]
     rhs = list(target)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 5 - len(rows)))):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         f = draw(st.integers(-2, 2))
         rows.append([a + f * b for a, b in zip(rows[i], rows[j])])
@@ -137,6 +154,38 @@ def test_cone_feasibility_matches_reference_exactly(lp):
     n = len(rows[0])
     res = solve_lp([0] * n, rows, rhs, [True] * n)
     assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+
+
+def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
+    """Every LP that `t_semistable`, `stable` and `relative_invariant` pose
+    on seeded acceptance-style pairs of ranks 1-4 solves as the reference
+    does, field for field."""
+    posed = []
+    real = stablepairs.polytope.solve_lp
+
+    def recording(*args):
+        res = real(*args)
+        posed.append((args, res))
+        return res
+
+    monkeypatch.setattr(stablepairs.polytope, "solve_lp", recording)
+    rng = random.Random(1401)
+    pairs = []
+    for rank in (1, 2, 3, 4):
+        pairs += [random_pair(rng, rank, max_points=6, lo=-3, hi=3) for _ in range(20)]
+        w = list(itertools.product((-3, 3), repeat=rank))
+        for _ in range(5):  # v inside a w-box: semistable, with stable's confirmation
+            v = {tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, 3))}
+            pairs.append(Pair(WeightedVector(v), WeightedVector(w), random_problem(rng, rank)))
+    for p in pairs:
+        verdict = t_semistable(p)
+        stable(p, 4)
+        if verdict.semistable:
+            relative_invariant(p, rng.choice(p.v.support.points))
+    assert len(posed) >= 400
+    assert {res.status for _, res in posed} == {OPTIMAL, INFEASIBLE}
+    for args, res in posed:
+        assert res == reference_solve_lp(*args)
 
 
 @pytest.mark.parametrize("rows, nonneg", [

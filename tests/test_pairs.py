@@ -387,6 +387,26 @@ class TestClosedForms:
         assert stable(EXPONENT_THREE, 2) == StableVerdict.not_stable_up_to(2)
         assert scan_stable(EXPONENT_THREE, 3) == (StableVerdict.STABLE, 3)
 
+    def test_never_stable_is_settled_before_the_degree(self, monkeypatch):
+        """A normal with a = 0 and weight(u, w) >= 0 has b > 0 at every
+        degree, so no degree (and no LP) is computed; a base-unstable pair
+        with such a normal still reports its destabilizer."""
+        calls = _count_lps(monkeypatch)
+        degrees = []
+        real = stablepairs.pairs.degree_of
+        monkeypatch.setattr(
+            stablepairs.pairs, "degree_of", lambda *a: degrees.append(a) or real(*a)
+        )
+        assert stable(NEVER_STABLE, 4) == StableVerdict.not_stable_up_to(4)
+        assert calls == [] and degrees == []
+        # (1, 0) has a = 0 and weight 0 on w; (0, 1) destabilizes.
+        p = Pair(WeightedVector([(0, 0), (0, -1)]), WeightedVector([(0, 0), (1, 0)]), FREE2)
+        assert futaki_gen((1, 0), p) == 0 and weight((1, 0), p.w) == 0
+        verdict = stable(p, 4)
+        assert verdict.status == StableVerdict.UNSTABLE_BASE
+        assert futaki_gen(verdict.witness, p) > 0
+        assert calls == [] and degrees == []
+
     def test_lp_count_does_not_grow_with_m_max(self, monkeypatch):
         calls = _count_lps(monkeypatch)
         rng = random.Random(5)

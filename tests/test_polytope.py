@@ -374,23 +374,31 @@ def _recording_lps(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "A, ctx",
+    "A, ctx, off, off_inside",
     [
         (PointSet([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-                   (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]), ContainmentContext()),
-        (PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), ContainmentContext([(1, 1, 1)])),
+                   (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]), ContainmentContext(),
+         (Fraction(1, 2), 0, 0, 0), True),
+        (PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), ContainmentContext([(1, 1, 1)]),
+         (1, 0, 0), False),
         (PointSet([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, -1, -1)]),
-         ContainmentContext([(2, 3, 4, 5), (3, -1, 0, 4)])),
-        (PointSet([(2, 3)]), ContainmentContext()),
+         ContainmentContext([(2, 3, 4, 5), (3, -1, 0, 4)]), (Fraction(1, 2), 0, 0, 0), True),
+        (PointSet([(2, 3)]), ContainmentContext(), (1, 1), False),
     ],
     ids=["cross4", "simplex_mod_diagonal", "two_directions", "singleton"],
 )
-def test_interior_contains_solves_one_cone_lp(monkeypatch, A, ctx):
+def test_interior_contains_solves_one_cone_lp(monkeypatch, A, ctx, off, off_inside):
+    """The origin is the centroid of every A here with more than one point,
+    modulo the directions: weight 1 on every point certifies it, and no LP
+    is posed.  Any other target is one cone LP of dim - nd rows and |A|
+    columns."""
     calls = _recording_lps(monkeypatch)
-    dim = A.dim
-    assert interior_contains(A, (0,) * dim, ctx) == (len(A) > 1)
-    k, nd = len(A), len(ctx.mod_directions)
-    assert [(len(rows), len(objective)) for _, objective, rows, _ in calls] == [(dim - nd, k)]
+    dim, k, nd = A.dim, len(A), len(ctx.mod_directions)
+    centroid = k > 1
+    assert interior_contains(A, (0,) * dim, ctx) == centroid
+    assert interior_contains(A, off, ctx) == off_inside
+    shapes = [(len(rows), len(objective)) for _, objective, rows, _ in calls]
+    assert shapes == [(dim - nd, k)] * (1 if centroid else 2)
 
 
 def test_every_polytope_lp_is_a_cone_membership_problem(monkeypatch):
