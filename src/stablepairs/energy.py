@@ -17,18 +17,22 @@ and the exact slope form of the properness inequality lives in `pairs`.
 `infimum_estimate` probes the energy only along lines s0 + t d.  Per line
 each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope
 2<d, a>, so a probe is one log-sum-exp per side.  The pairings with each
-direction d are exact (integers or `Fraction`s) and rounded to float once;
-each direction is checked admissible once, exactly, instead of the float
-check `energy_at` makes on every torus element.
+direction d are exact integers divided once, with one rounding, by the
+common denominator of d; each direction is checked admissible once,
+exactly, instead of the float check `energy_at` makes on every torus
+element.  Floating-point work goes to the line searches: the normals are
+enumerated in integers, and a ray probe runs only when a floor of the
+energy it would compute lies below the current estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
-from .lattice import Scalar, dot, require_admissible
+from .lattice import Scalar, require_admissible
 from .pairs import Pair, WeightedVector, futaki_gen
 from .polytope import certificate_normals
 
@@ -84,14 +88,16 @@ def _pairings(p: Pair, d: Sequence[Scalar]) -> _Sides:
     """2<d, a> for the support points a of w and of v, exact, then rounded once.
 
     The pairings are integer ones of den * d, divided by den in one correctly
-    rounded step.  This is where a direction is checked: exactly, against
-    the constraints.
+    rounded step.  This is where a direction is checked, once: its length
+    against the rank, and exactly against the constraints.
     """
+    if len(d) != p.problem.rank:
+        raise ValueError(f"direction has {len(d)} entries, the rank is {p.problem.rank}")
     den = math.lcm(*(x.denominator for x in d))
     num = [x.numerator * (den // x.denominator) for x in d]
     require_admissible(num, p.problem.constraints)
     return tuple(
-        [2 * dot(num, a) / den for a in vec.support.points] for vec in (p.w, p.v)
+        [2 * sum(map(mul, num, a)) / den for a in vec.support.points] for vec in (p.w, p.v)
     )
 
 
@@ -161,6 +167,7 @@ def asymptotic_slope(p: Pair, u: Sequence[int]) -> float:
 _SWEEPS = 4  # coordinate-descent passes over the quotient basis
 _BRACKET = 8.0  # half-width of each ternary search around the current point
 _RAY_TAUS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)  # probe distances along each normal
+_FLOOR_TOL = 1e-9  # relative room for rounding in the floor of a ray probe
 
 
 def infimum_estimate(p: Pair) -> float:
@@ -175,6 +182,11 @@ def infimum_estimate(p: Pair) -> float:
     a finite upper bound.  Every probe lies on a line s0 + t d whose
     pairings are set up once (see the module docstring), and every
     direction d, a basis vector or a normal, is checked admissible exactly.
+
+    A ray probe is skipped when its floor, the largest w-exponent minus the
+    largest v-exponent minus log |supp v| and a 1e-9 relative allowance for
+    rounding, is not below the estimate so far: it could not lower it.
+    The returned float is the one every probe would give.
     """
     normals = certificate_normals(p.w.support, p.problem.ctx)
     if any(futaki_gen(u, p) > 0 for u in normals):
@@ -199,9 +211,19 @@ def infimum_estimate(p: Pair) -> float:
                     lo = m1
             coeffs[k] = (lo + hi) / 2
             best = min(best, energy(coeffs[k]))
+    # A probe's w-sum holds exp(0.0) = 1 and its v-sum |supp v| terms of at
+    # most 1: it returns at least mw - mv - log |supp v|, less rounding.
+    lw, lv = p.w.log_magnitudes, p.v.log_magnitudes
+    slack = math.log(len(lv))
     for u in normals:
-        energy = _line(p, (), _pairings(p, u))
+        along = _pairings(p, u)
+        kw, kv = along
+        energy = None
         for tau in _RAY_TAUS:
-            for sign in (1.0, -1.0):
-                best = min(best, energy(sign * tau))
+            for t in (tau, -tau):
+                mw = max([b + t * k for b, k in zip(lw, kw)])
+                mv = max([b + t * k for b, k in zip(lv, kv)])
+                if mw - mv - slack - _FLOOR_TOL * (1.0 + abs(mw) + abs(mv)) < best:
+                    energy = energy or _line(p, (), along)
+                    best = min(best, energy(t))
     return best

@@ -80,33 +80,53 @@ def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
     return [[Fraction(a, prev) for a in row] for row in m[:len(pivots)]], pivots
 
 
-def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of the matrix: the number of pivots of the integer elimination
-    (`_eliminate`) of its rows scaled to integers.
+def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
+    """The pivot columns of the reduced row echelon form, from the integer
+    elimination (`_eliminate`) of the rows scaled to integers.
 
-    No `Fraction` is built beyond the non-integer entries of the input, and
-    the answer is `len(rref(rows)[0])`.
+    No `Fraction` is built beyond the non-integer entries of the input.
     """
     _, m = integral(rows)
-    return len(_eliminate(m)[1])
+    return _eliminate(m)[1]
+
+
+def matrix_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of the matrix: its number of pivot columns (`pivot_columns`),
+    the same as `len(rref(rows)[0])`."""
+    return len(pivot_columns(rows))
+
+
+def integer_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[int, list[list[int]]]:
+    """The basis of `nullspace` as a nonzero divisor and integer vectors.
+
+    The vectors divided by the divisor are the basis `nullspace` returns:
+    the one with a 1 in a free column and 0 in the other free columns.  The
+    divisor is the last pivot of `_eliminate`, which may be negative, and
+    no `Fraction` is built beyond the non-integer entries of the input.
+    """
+    _, m = integral(rows)
+    last, pivots = _eliminate(m)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [0] * ncols
+            vec[fc] = last
+            for row, pc in zip(m, pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+    return last, basis
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[Vec]:
-    """Basis of {x : A x = 0} for A given by `rows` with `ncols` columns.
+    """Basis of {x : A x = 0} for A given by `rows` with `ncols` columns:
+    one vector per free column, with a 1 there and 0 in the other free
+    columns (`integer_nullspace`, divided once).
 
     An empty list of rows means the whole space; the basis is then the
     standard one.
     """
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(tuple(vec))
-    return basis
+    den, basis = integer_nullspace(rows, ncols)
+    return [tuple(Fraction(x, den) for x in vec) for vec in basis]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:

@@ -38,12 +38,17 @@ coordinates of small lattice points) is never touched, and the pivots and
 every entry are those of the dense update.  Bland's entering rule and the
 ratio test check the sign of the numerator: a `Fraction`'s denominator is
 always positive.
+
+Bland's rule visits each basis at most once, so more pivots than there
+are bases (`_max_pivots`) can only come from a defect; the loop then
+raises `RuntimeError` instead of running forever.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -51,6 +56,13 @@ INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _max_pivots(n: int, m: int) -> int:
+    """A bound on the pivots of phase 1 over n columns and m rows: Bland's
+    rule never returns to a basis, and there are at most comb(n + m, m)
+    bases of the m rows among the n + m columns, artificials included."""
+    return comb(n + m, m)
 
 
 @dataclass
@@ -105,10 +117,14 @@ def solve_lp(
     # tableau row, and z is the running objective value.
     rc = [sum((r[j] for r in tableau), _ZERO) for j in range(n)] + [_ZERO] * m
     z = -sum(b, _ZERO)
+    budget = _max_pivots(n, m)
     while z:
         entering = next((j for j, v in enumerate(rc) if v.numerator > 0), -1)
         if entering < 0:
             break
+        if not budget:
+            raise RuntimeError("internal: phase 1 exceeded its pivot bound, so it cycles")
+        budget -= 1
         leave = -1
         best: Fraction | None = None
         for i, row in enumerate(tableau):

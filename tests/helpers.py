@@ -10,8 +10,10 @@ subset-walk normals.  `kempf_ness_distance` is a second float formula
 for the energy.
 `facet_weight_semistable` is the one package-side criterion path here.
 `reference_solve_lp` is a plainer simplex, the differential oracle for
-`linprog.solve_lp`, and `reference_line` the energy probe through a
-generic log-sum-exp, the bit-identity oracle for `energy._line`.
+`linprog.solve_lp`, `reference_line` the energy probe through a
+generic log-sum-exp, the bit-identity oracle for `energy._line`, and
+`reference_infimum_estimate` the search with every ray probe made, the
+float-identity oracle for `energy.infimum_estimate`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from stablepairs import (
     WeightedVector,
     certificate_normals,
     cross_polytope,
+    energy_at,
     futaki_gen,
 )
 from stablepairs.linprog import INFEASIBLE, OPTIMAL, LPResult
@@ -204,6 +207,50 @@ def reference_line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides
 
     return energy
 
+
+def _o_pairings(p: Pair, d) -> _Sides:
+    # 2<d, a> per support point, each a Fraction rounded once to float.
+    return tuple(
+        [float(2 * sum(Fraction(x) * c for x, c in zip(d, a))) for a in vec.support.points]
+        for vec in (p.w, p.v)
+    )
+
+
+def reference_infimum_estimate(p: Pair) -> float:
+    """The search of `energy.infimum_estimate` with every ray probe made:
+    4 coordinate-descent sweeps of 40-step ternary searches over the
+    quotient basis, then both signs of six distances along every
+    certificate normal, each probe through `reference_line`.  The
+    float-identity oracle for the estimate, whose ray probes are pruned."""
+    normals = certificate_normals(p.w.support, p.problem.ctx)
+    if any(futaki_gen(u, p) > 0 for u in normals):
+        return -math.inf
+    rank = p.problem.rank
+    best = energy_at(p, [0.0] * rank)
+    basis = [_o_pairings(p, e) for e in p.problem.ctx.covectors(rank)]
+    if not basis:
+        return best
+    coeffs = [0.0] * len(basis)
+    for _ in range(4):
+        for k, along in enumerate(basis):
+            shift = [(c, e) for j, (c, e) in enumerate(zip(coeffs, basis)) if j != k]
+            energy = reference_line(p, shift, along)
+            lo, hi = coeffs[k] - 8.0, coeffs[k] + 8.0
+            for _ in range(40):
+                m1 = lo + (hi - lo) / 3
+                m2 = hi - (hi - lo) / 3
+                if energy(m1) <= energy(m2):
+                    hi = m2
+                else:
+                    lo = m1
+            coeffs[k] = (lo + hi) / 2
+            best = min(best, energy(coeffs[k]))
+    for u in normals:
+        energy = reference_line(p, (), _o_pairings(p, u))
+        for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+            for sign in (1.0, -1.0):
+                best = min(best, energy(sign * tau))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import stablepairs.binary_forms
 import stablepairs.cli
 import stablepairs.energy
+import stablepairs.linprog
 import stablepairs.pairs
 import stablepairs.polytope
 from stablepairs import Pair, StabilityProblem, WeightedVector
@@ -292,6 +293,19 @@ class TestExitCodes:
         code, payload = run(capsys, "check", semistable_file)
         assert code == 3
         assert payload == {"error": "RuntimeError: internal: simulated"}
+
+    def test_a_cycling_lp_is_an_internal_failure(self, capsys, monkeypatch, tmp_path):
+        # v = 0 is not a w-point, so `check` poses a containment LP that pivots.
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "rank": 2, "v": {"support": [[0, 0]]},
+            "w": {"support": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+        }))
+        assert run(capsys, "check", str(path))[0] == 0
+        monkeypatch.setattr(stablepairs.linprog, "_max_pivots", lambda n, m: 0)
+        code, payload = run(capsys, "check", str(path))
+        assert code == 3
+        assert payload["error"].startswith("RuntimeError: internal: ")
 
     @pytest.mark.parametrize(
         "witness", [(1, 0), (0, 0), (-1, 1)], ids=["inadmissible", "zero", "no_gap"]

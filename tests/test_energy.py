@@ -28,11 +28,13 @@ from stablepairs import (
 from stablepairs.linalg import nullspace
 
 from helpers import (
+    _o_rref,
     kempf_ness_distance,
     random_magnitudes,
     random_pair,
     random_problem,
     random_support,
+    reference_infimum_estimate,
     reference_line,
 )
 
@@ -411,3 +413,106 @@ def test_infimum_estimate_search_is_pinned(name):
     problem = StabilityProblem(rank, constraints)
     p = Pair(WeightedVector(v), WeightedVector(w), problem)
     assert abs(infimum_estimate(p) - expected) <= 1e-9
+
+
+def _pinned_pair(name: str) -> Pair:
+    rank, constraints, v, w, _ = PINNED_SEARCH[name]
+    return Pair(WeightedVector(v), WeightedVector(w), StabilityProblem(rank, constraints))
+
+
+def _lower_dimensional_pairs(seed: int, count: int) -> list[Pair]:
+    """Weighted pairs of ranks 2-4 whose w-support lies on a line or a plane,
+    v a subset of it, under free and trace-zero problems."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        rank = 2 + i % 3
+        base = [rng.randint(-2, 2) for _ in range(rank)]
+        steps = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(1 + i % 2)]
+        w = PointSet({
+            tuple(b + sum(c * s[j] for c, s in zip(cs, steps)) for j, b in enumerate(base))
+            for cs in [[rng.randint(-2, 2) for _ in steps] for _ in range(6)]
+        })
+        v = PointSet(rng.sample(w.points, rng.randint(1, len(w.points))))
+        out.append(Pair(WeightedVector(v, random_magnitudes(rng, v)),
+                        WeightedVector(w, random_magnitudes(rng, w)),
+                        random_problem(rng, rank)))
+    return out
+
+
+def _w_is_lower_dimensional(p: Pair) -> bool:
+    ctx = p.problem.ctx
+    phi = [ctx.project(a) for a in p.w.support]
+    offsets = [[x - y for x, y in zip(q, phi[0])] for q in phi[1:]]
+    return len(_o_rref(offsets)[1]) < len(ctx.covectors(p.problem.rank))
+
+
+class TestInfimumEstimateIsTheReferenceSearch:
+    """The pruned ray probes return the float of the search that makes them
+    all (`reference_infimum_estimate`), compared by `float.hex`."""
+
+    def test_float_identical_on_seeded_pairs(self):
+        rng = random.Random(77)
+        pairs = semistable_pairs(34, 48) + _lower_dimensional_pairs(35, 24)
+        pairs += [random_pair(rng, rank=1 + i % 4, max_points=6, lo=-3, hi=3, weighted=True)
+                  for i in range(40)]
+        for problem in [StabilityProblem(2, [(2, 3)]), StabilityProblem(3, [(2, 3, 5)]),
+                        StabilityProblem(4, [(2, 3, 4, 5)])] * 4:
+            w = random_support(rng, problem.rank, 6, -3, 3)
+            v = PointSet(rng.sample(w.points, rng.randint(1, len(w.points))))
+            pairs.append(Pair(WeightedVector(v, random_magnitudes(rng, v)),
+                              WeightedVector(w, random_magnitudes(rng, w)), problem))
+        kinds = {}
+        for p in pairs:
+            est = infimum_estimate(p)
+            assert est.hex() == reference_infimum_estimate(p).hex(), p
+            if not math.isfinite(est):
+                kinds["unstable"] = kinds.get("unstable", 0) + 1
+                continue
+            for kind in [("rank", p.problem.rank), ("constrained", bool(p.problem.constraints)),
+                         ("v points > 1", len(p.v.support) > 1),
+                         ("lower-dimensional w", _w_is_lower_dimensional(p))]:
+                kinds[kind] = kinds.get(kind, 0) + 1
+        assert len(kinds) == 4 + 2 + 2 + 2 + 1
+        assert min(kinds.values()) >= 8, kinds
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SEARCH))
+    def test_pinned_pairs_are_float_identical(self, monkeypatch, name):
+        """And on the minus_ray pair the estimate is still the value of a
+        ray probe with the - sign, which the floor must not skip."""
+        p = _pinned_pair(name)
+        rays = []  # (t, energy) per ray probe made
+        real = stablepairs.energy._line
+
+        def recording(p, shift, along):
+            energy = real(p, shift, along)
+            if shift:  # rank 3 free: every line search shifts along two directions
+                return energy
+            return lambda t: rays.append((t, energy(t))) or rays[-1][1]
+
+        monkeypatch.setattr(stablepairs.energy, "_line", recording)
+        est = infimum_estimate(p)
+        assert est.hex() == reference_infimum_estimate(p).hex()
+        if name == "minus_ray":
+            assert any(t < 0 and e == est for t, e in rays)
+
+    def test_fewer_ray_probes_than_the_reference(self, monkeypatch):
+        """A machine-independent count: every probe that is not one of the
+        4 sweeps of (2 * 40 + 1)-probe line searches is a ray probe; the
+        reference makes 12 per certificate normal."""
+        probes = []
+        real = stablepairs.energy._line
+
+        def counting(p, shift, along):
+            energy = real(p, shift, along)
+            return lambda t: probes.append(t) or energy(t)
+
+        monkeypatch.setattr(stablepairs.energy, "_line", counting)
+        made = reference = 0
+        for p in semistable_pairs(32, 48):
+            probes.clear()
+            assert math.isfinite(infimum_estimate(p))
+            directions = len(p.problem.ctx.covectors(p.problem.rank))
+            made += len(probes) - 4 * directions * (2 * 40 + 1)
+            reference += 12 * len(certificate_normals(p.w.support, p.problem.ctx))
+        assert 0 < made < reference

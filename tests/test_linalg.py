@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from stablepairs.linalg import (
     in_span,
+    integer_nullspace,
     integral,
     left_inverse,
     matrix_rank,
     nullspace,
+    pivot_columns,
     rref,
     solve,
 )
@@ -59,6 +61,12 @@ def test_rref_matches_oracle(rows):
     assert (red, pivots) == _o_rref(rows)
     assert _is_fraction_matrix(red)
     assert matrix_rank(rows) == len(pivots)
+    assert pivot_columns(rows) == pivots
+
+
+def _divided(den, ints):
+    assert den != 0 and all(type(x) is int for vec in ints for x in vec)
+    return [tuple(Fraction(x, den) for x in vec) for vec in ints]
 
 
 @pytest.mark.slow
@@ -70,6 +78,7 @@ def test_nullspace_matches_oracle(data):
     basis = nullspace(rows, ncols)
     assert basis == _o_nullspace(rows, ncols)
     assert _is_fraction_matrix(basis)
+    assert _divided(*integer_nullspace(rows, ncols)) == basis
 
 
 @pytest.mark.slow
@@ -145,8 +154,10 @@ def test_edge_cases_match_oracle(rows):
     assert (red, pivots) == _o_rref(rows)
     assert _is_fraction_matrix(red)
     assert matrix_rank(rows) == len(pivots)
+    assert pivot_columns(rows) == pivots
     ncols = len(rows[0]) if rows else 3
     assert nullspace(rows, ncols) == _o_nullspace(rows, ncols)
+    assert _divided(*integer_nullspace(rows, ncols)) == _o_nullspace(rows, ncols)
     if rows:
         rhs = [1] * len(rows)
         assert solve(rows, rhs) == _o_solve(rows, rhs)
@@ -162,6 +173,9 @@ def test_empty_and_trivial_systems():
     assert nullspace([], 3) == [
         (1, 0, 0), (0, 1, 0), (0, 0, 1),
     ]
+    assert integer_nullspace([], 2) == (1, [[1, 0], [0, 1]])
+    # A negative last pivot is the divisor as it is.
+    assert integer_nullspace([[0, -2, 1]], 3) == (-2, [[-2, 0, 0], [0, -1, -2]])
     assert solve([], []) == ()
     assert in_span([], [0, Fraction(0)])
     assert not in_span([], [0, 1])

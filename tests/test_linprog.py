@@ -235,3 +235,16 @@ def test_other_lp_forms_raise_before_any_tableau(monkeypatch, call, exc):
 def test_length_mismatch_over_zero_rhs_is_an_error(objective, rows, rhs, nonneg):
     with pytest.raises(ValueError):
         solve_lp(objective, rows, rhs, nonneg)
+
+
+def test_a_run_past_the_pivot_bound_is_an_internal_error(monkeypatch):
+    """Bland's rule visits each basis at most once, so a phase 1 that
+    outlasts the bound is a defect: it raises instead of running on."""
+    rows, rhs = [[1, 1, 0], [0, 1, 1]], [1, 2]
+    assert solve_lp([0] * 3, rows, rhs, [True] * 3).status == OPTIMAL
+    assert stablepairs.linprog._max_pivots(3, 2) == 10
+    monkeypatch.setattr(stablepairs.linprog, "_max_pivots", lambda n, m: 0)
+    with pytest.raises(RuntimeError, match="^internal: "):
+        solve_lp([0] * 3, rows, rhs, [True] * 3)
+    # A zero right-hand side needs no pivot.
+    assert solve_lp([0] * 3, rows, [0, 0], [True] * 3).status == OPTIMAL

@@ -26,7 +26,7 @@ from stablepairs import (
 )
 from stablepairs.lattice import dot
 
-from helpers import _o_in_span, brute_hull_contains, subset_walk_normals
+from helpers import _o_in_span, _o_rref, brute_hull_contains, subset_walk_normals
 
 CTX11 = ContainmentContext([(1, 1)])
 
@@ -469,3 +469,68 @@ def test_certificate_normals_rank5_twenty_points_is_fast(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert len(calls) <= 20
     assert all(min_functional(A, u) < max(dot(u, p) for p in A) for u in normals)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_certificate_normals_of_full_dimensional_hulls_build_no_fraction(
+    monkeypatch, rank, constrained
+):
+    """At full rank the hull coordinates are the quotient coordinates and the
+    hull map is the identity: no `linalg.rref`, `nullspace` or `left_inverse`
+    call and no `Fraction`.  Lower-dimensional sets take the lift, and every
+    set still matches the subset-walk oracle."""
+    rng = random.Random(4000 * rank + constrained)
+    cases = []
+    for ctx in _quotient_contexts(rank, constrained):
+        for A in _differential_sets(rng, rank):
+            phi = [ctx.project(a) for a in A]
+            offsets = [[x - y for x, y in zip(q, phi[0])] for q in phi[1:]]
+            full = len(_o_rref(offsets)[1]) == len(ctx.covectors(rank))
+            cases.append((A, ctx, subset_walk_normals(A, ctx), full))
+
+    calls = []
+    for name in ("rref", "nullspace", "left_inverse"):
+        real = getattr(stablepairs.linalg, name)
+        monkeypatch.setattr(stablepairs.linalg, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    built, counting = [], [False]
+    real_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        if counting[0]:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    seen = {True: 0, False: 0}
+    for A, ctx, expected, full in cases:
+        calls.clear()
+        built.clear()
+        counting[0] = True
+        got = certificate_normals(A, ctx)
+        counting[0] = False
+        assert got == expected, (A, ctx)
+        if full:
+            assert calls == [] and built == [], (A, ctx)
+        seen[full] += 1
+    assert seen[True] >= 10
+    # Every singleton is lower-dimensional, except in the zero-dimensional
+    # quotient of rank 1 modulo its diagonal.
+    if (rank, constrained) != (1, True):
+        assert seen[False] >= 1
+
+
+def test_double_description_on_the_moment_curve_builds_few_rays(monkeypatch):
+    """The cyclic polytope of 200 points of (t, t^2, t^3) has 2(n - 2)
+    facets.  Taken in the stride order, double description builds about
+    800 rays on the way (19 894 in sorted order); `clear_denominators` runs
+    once per ray built, per seed ray and per output covector."""
+    built = []
+    real = stablepairs.polytope.clear_denominators
+    monkeypatch.setattr(stablepairs.polytope, "clear_denominators",
+                        lambda g: built.append(1) or real(g))
+    n = 200
+    normals = certificate_normals(PointSet((t, t * t, t ** 3) for t in range(n)))
+    assert len(normals) == 2 * (n - 2)
+    assert len(built) <= 2000
