@@ -18,9 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from .lattice import clear_denominators
 from .pairs import Pair, StabilityProblem, WeightedVector, t_semistable
 
 RootPoint = tuple[int, int]  # primitive [p : q]; [1 : 0] is the point at infinity
@@ -32,16 +32,12 @@ _RANK1_PROBLEM = StabilityProblem.free(1, [(-1,), (1,)])
 def normalize_root(p, q) -> RootPoint:
     """Primitive, sign-normalized representative of [p : q].
 
-    Rational inputs are cleared; the representative has q > 0, or p > 0
-    when q = 0.
+    Rational inputs are cleared (`clear_denominators`); the representative
+    has q > 0, or p > 0 when q = 0.
     """
-    pf, qf = Fraction(p), Fraction(q)
-    if pf == 0 and qf == 0:
+    if Fraction(p) == 0 and Fraction(q) == 0:
         raise ValueError("[0 : 0] is not a projective point")
-    den = pf.denominator * qf.denominator // gcd(pf.denominator, qf.denominator)
-    pi, qi = int(pf * den), int(qf * den)
-    g = gcd(pi, qi)
-    pi, qi = pi // g, qi // g
+    pi, qi = clear_denominators((p, q))
     if qi < 0 or (qi == 0 and pi < 0):
         pi, qi = -pi, -qi
     return (pi, qi)

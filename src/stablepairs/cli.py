@@ -197,18 +197,28 @@ def _parse_points(text: str) -> list[tuple[int, ...]]:
         raise InputError(f"cannot parse point list {text!r}") from exc
 
 
-def _verify_witness(pair: Pair, u: Sequence[int]) -> None:
-    # Defense in depth: never print a witness that does not check out.
-    # Admissibility first: `futaki_gen` raises ValueError (exit 2) on an
-    # inadmissible u, and a bad witness is an internal failure (exit 3).
-    if not is_admissible(u, pair.problem.constraints) or not futaki_gen(u, pair) > 0:
-        raise RuntimeError("internal: emitted witness failed verification")
-
-
 def _emit(payload: dict) -> None:
     # Encoded whole before any write: an int past Python's digit limit
     # raises mid-encoding, and no partial line may reach stdout.
     sys.stdout.write(json.dumps(payload) + "\n")
+
+
+def _emit_unstable(pair: Pair, u: Sequence[int], with_limits: bool = False) -> int:
+    """Print the unstable answer with its witness u (and, `with_limits`, the
+    limit supports of v and w along u); return exit code 1.
+
+    Defense in depth: u is verified before anything is computed from it or
+    printed.  Admissibility first: `futaki_gen` raises ValueError (exit 2)
+    on an inadmissible u, and a bad witness is an internal failure (exit 3).
+    """
+    if not is_admissible(u, pair.problem.constraints) or not futaki_gen(u, pair) > 0:
+        raise RuntimeError("internal: emitted witness failed verification")
+    payload = {"status": "unstable", "witness": list(u)}
+    if with_limits:
+        payload["limit_support_v"] = [list(p) for p in limits.limit_support(pair.v.support, u)]
+        payload["limit_support_w"] = [list(p) for p in limits.limit_support(pair.w.support, u)]
+    _emit(payload)
+    return EXIT_FALSE
 
 
 def cmd_check(args) -> int:
@@ -217,9 +227,7 @@ def cmd_check(args) -> int:
     if verdict.semistable:
         _emit({"status": "semistable"})
         return EXIT_TRUE
-    _verify_witness(pair, verdict.witness)
-    _emit({"status": "unstable", "witness": list(verdict.witness)})
-    return EXIT_FALSE
+    return _emit_unstable(pair, verdict.witness)
 
 
 def cmd_stable(args) -> int:
@@ -231,9 +239,7 @@ def cmd_stable(args) -> int:
         _emit({"status": "stable", "exponent": verdict.exponent})
         return EXIT_TRUE
     if verdict.status == StableVerdict.UNSTABLE_BASE:
-        _verify_witness(pair, verdict.witness)
-        _emit({"status": "unstable", "witness": list(verdict.witness)})
-        return EXIT_FALSE
+        return _emit_unstable(pair, verdict.witness)
     _emit({"status": "not_stable_up_to", "m_max": verdict.m_max})
     return EXIT_FALSE
 
@@ -244,17 +250,7 @@ def cmd_destabilize(args) -> int:
     if verdict.semistable:
         _emit({"status": "semistable"})
         return EXIT_TRUE
-    u = verdict.witness
-    _verify_witness(pair, u)
-    _emit(
-        {
-            "status": "unstable",
-            "witness": list(u),
-            "limit_support_v": [list(p) for p in limits.limit_support(pair.v.support, u)],
-            "limit_support_w": [list(p) for p in limits.limit_support(pair.w.support, u)],
-        }
-    )
-    return EXIT_FALSE
+    return _emit_unstable(pair, verdict.witness, with_limits=True)
 
 
 def cmd_relinv(args) -> int:
@@ -262,9 +258,7 @@ def cmd_relinv(args) -> int:
     chi = _parse_covector(args.chi, pair.problem.rank)
     verdict = t_semistable(pair)
     if not verdict.semistable:
-        _verify_witness(pair, verdict.witness)
-        _emit({"status": "unstable", "witness": list(verdict.witness)})
-        return EXIT_FALSE
+        return _emit_unstable(pair, verdict.witness)
     d, exponents = relative_invariant(pair, chi, verdict)
     if not check_relative_invariant(pair, chi, d, exponents):
         raise RuntimeError("internal: relative invariant failed verification")

@@ -18,11 +18,11 @@ and the exact slope form of the properness inequality lives in `pairs`.
 each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope
 2<d, a>, so a probe is one log-sum-exp per side.  The pairings with each
 direction d are exact integers divided once, with one rounding, by the
-common denominator of d; each direction is checked admissible once,
-exactly, instead of the float check `energy_at` makes on every torus
-element.  Floating-point work goes to the line searches: the normals are
-enumerated in integers, and a ray probe runs only when a floor of the
-energy it would compute lies below the current estimate.
+common denominator of d (`linalg.integral`); each direction is checked
+admissible once, exactly, instead of the float check `energy_at` makes on
+every torus element.  Floating-point work goes to the line searches: the
+normals are enumerated in integers, and a ray probe runs only when a floor
+of the energy it would compute lies below the current estimate.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .lattice import Scalar, require_admissible
+from .linalg import integral
 from .pairs import Pair, WeightedVector, futaki_gen
 from .polytope import certificate_normals
 
@@ -87,14 +88,14 @@ _Sides = tuple[list[float], list[float]]
 def _pairings(p: Pair, d: Sequence[Scalar]) -> _Sides:
     """2<d, a> for the support points a of w and of v, exact, then rounded once.
 
-    The pairings are integer ones of den * d, divided by den in one correctly
-    rounded step.  This is where a direction is checked, once: its length
-    against the rank, and exactly against the constraints.
+    The pairings are integer ones of den * d (`linalg.integral`), divided by
+    den in one correctly rounded step.  This is where a direction is
+    checked, once: its length against the rank, and exactly against the
+    constraints.
     """
     if len(d) != p.problem.rank:
         raise ValueError(f"direction has {len(d)} entries, the rank is {p.problem.rank}")
-    den = math.lcm(*(x.denominator for x in d))
-    num = [x.numerator * (den // x.denominator) for x in d]
+    den, (num,) = integral([d])
     require_admissible(num, p.problem.constraints)
     return tuple(
         [2 * sum(map(mul, num, a)) / den for a in vec.support.points] for vec in (p.w, p.v)

@@ -28,12 +28,6 @@ class StabilizerSubtorus:
     def rank(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, u: object) -> bool:
-        if not isinstance(u, tuple):
-            return NotImplemented
-        vecs = [list(b) for b in self.basis]
-        return linalg.in_span(vecs, list(u))
-
 
 def _difference_rows(p: Pair) -> list[tuple[int, ...]]:
     rows = []

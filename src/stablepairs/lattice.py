@@ -10,8 +10,10 @@ arithmetic is exact: integers stay integers, rationals are `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
+
+from .linalg import integral
 
 Scalar = int | Fraction
 LatticePoint = tuple[int, ...]
@@ -75,13 +77,13 @@ def clear_denominators(g: Sequence[Scalar]) -> OnePS:
     """Smallest positive multiple of a rational covector that is integral,
     reduced to a primitive integer vector.
 
-    The multiplier is positive, so the direction of g is preserved.
-    Raises on the zero functional, which has no primitive representative.
+    The common denominator comes from `linalg.integral`, and the gcd of
+    the scaled entries is divided out.  The multiplier is positive, so the
+    direction of g is preserved.  Raises on the zero functional, which has
+    no primitive representative.
     """
-    fr = [c if type(c) is int else Fraction(c) for c in g]
-    if not any(fr):
+    _, (ints,) = integral([g])
+    if not any(ints):
         raise ValueError("cannot clear denominators of the zero functional")
-    mult = lcm(*{c.denominator for c in fr})
-    ints = [c.numerator * (mult // c.denominator) for c in fr]
     g0 = gcd(*ints)
     return tuple(c // g0 for c in ints)

@@ -23,7 +23,9 @@ Rows = list[list[Fraction]]
 def integral(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     """The common denominator of all entries, and the rows times it.
 
-    Rows of plain ints, the common case, are only copied (denominator 1).
+    This is the package's one scaling of rationals to integers; entries may
+    be anything `Fraction` accepts.  Rows of plain ints, the common case,
+    are only copied (denominator 1).
     """
     rows = [list(row) for row in rows]
     if all([type(x) is int for row in rows for x in row]):

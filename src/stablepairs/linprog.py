@@ -26,9 +26,8 @@ The reduced costs are one tableau row, updated by each pivot like the
 others, and the Farkas y is read off its artificial entries.  The loop
 stops as soon as the artificials sum to 0, its optimum, and x is the point
 it ends on.  Phase 1 is bounded above by 0, so every entering column has a
-row to leave.  A zero right-hand side is answered before any tableau is
-built: x = 0 is feasible, and phase 1 would stop at once, its value
--sum |b| already 0.
+row to leave.  Over a zero right-hand side the artificials start at 0, so
+the loop makes no pivot and x = 0.
 
 Each pivot is sparse.  The nonzero entries of the pivot row are divided
 and their columns listed once; every other row whose entering-column entry
@@ -90,8 +89,6 @@ def solve_lp(
         raise ValueError("only feasibility is decided: the objective must be zero")
     if not all(nonneg):
         raise ValueError("only feasibility is decided: every column must be nonnegative")
-    if not any(rhs):
-        return LPResult(OPTIMAL, x=[_ZERO] * n, objective=_ZERO)
 
     # Rows are flipped so b >= 0, each followed by its artificial column;
     # the flips are undone in the certificate.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, log
+from math import log
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -349,18 +349,17 @@ def degree_of(v: WeightedVector, problem: StabilityProblem) -> int:
     return k
 
 
-def perturb(p: Pair, m: int, q: int | None = None) -> Pair:
+def perturb(p: Pair, m: int, q: int) -> Pair:
     """The degree-m perturbation of the pair.
 
     The v side becomes the identity block to the q-th tensor power times
     the m-th power of v; the w side the (m+1)-st power of w.  Only hulls
     feed the downstream criteria, so supports are hull-generating sets and
-    all magnitudes are set to one.
+    all magnitudes are set to one.  `stable` passes the module degree
+    `degree_of(p.v, p.problem)` as q.
     """
     if m < 1:
         raise ValueError("perturbation exponent must be >= 1")
-    if q is None:
-        q = degree_of(p.v, p.problem)
     v_support = minkowski_sum(scale(p.problem.q_polytope, q), scale(p.v.support, m))
     w_support = scale(p.w.support, m + 1)
     return Pair(WeightedVector(v_support), WeightedVector(w_support), p.problem)
@@ -465,14 +464,8 @@ def relative_invariant(
         lambdas = convex_combination(p.w.support, chi, ctx)
     if lambdas is None:
         raise ValueError(f"{chi} lies outside the weight polytope of w")
-    d = 1
-    for lam in lambdas:
-        d = lcm(d, lam.denominator)
-    exponents: dict[LatticePoint, int] = {}
-    for point, lam in zip(p.w.support.points, lambdas):
-        n = lam * d
-        if n:
-            exponents[point] = int(n)
+    d, (nums,) = linalg.integral([lambdas])
+    exponents = {point: n for point, n in zip(p.w.support.points, nums) if n}
     if sum(exponents.values()) != d:
         raise RuntimeError("internal: certificate exponents do not sum to the degree")
     return d, exponents

@@ -9,8 +9,8 @@ hull question is one cone-membership LP in quotient coordinates
 `containment` asks whether a point lies in a hull by one such LP and
 returns a checked certificate either way: the convex weights of a feasible
 LP, or the separating functional read off the Farkas certificate of an
-infeasible one, lifted through F.  `convex_combination` and
-`separating_functional` are its two halves.
+infeasible one, lifted through F (`ContainmentContext.lift`).
+`convex_combination` and `separating_functional` are its two halves.
 
 Facet enumeration exists only in `certificate_normals`, which runs the
 double-description method in exact integer arithmetic (Motzkin et al.
@@ -92,7 +92,8 @@ class ContainmentContext:
     For the special linear convention this is the single all-ones vector:
     characters are compared modulo the diagonal.  The quotient map F, the
     integer basis of the covectors vanishing on the directions, is computed
-    once here; directions that span the space leave F empty.
+    once here, and `project` and `lift` are the two maps through it;
+    directions that span the space leave F empty.
     """
 
     mod_directions: tuple[LatticePoint, ...] = ()
@@ -114,6 +115,13 @@ class ContainmentContext:
         if not self.mod_directions:
             return x
         return [dot(f, x) for f in self.basis]
+
+    def lift(self, h: Sequence[Scalar]) -> Sequence[Scalar]:
+        """hF: the ambient covector of the quotient covector h, or h itself
+        without directions."""
+        if not self.mod_directions:
+            return h
+        return [sum(map(mul, h, col)) for col in zip(*self.basis)]
 
     def covectors(self, dim: int) -> Sequence[Sequence[int]]:
         """F, or the standard basis of the dual of R^dim without directions."""
@@ -206,8 +214,7 @@ def containment(
             raise RuntimeError("internal: convex weights failed verification")
         return Containment(weights=weights)
     # -y pairs below on (Fx, 1) than on every (Fa, 1); lift it through F.
-    h = [-y for y in res.farkas[:-1]]
-    g = tuple(dot(h, col) for col in zip(*ctx.covectors(A.dim)))
+    g = tuple(ctx.lift([-y for y in res.farkas[:-1]]))
     # Checked in integers, on the positive multiple of g that clears it.
     _, (gi,) = linalg.integral([g])
     gx = dot(gi, x)
@@ -374,8 +381,9 @@ def certificate_normals(
     come from an exact double-description enumeration in hull coordinates
     (`_facet_normals`), not from a walk over point subsets.
 
-    Everything runs in integers, in the quotient coordinates of the
-    context's integer basis F (`ContainmentContext.covectors`).  The
+    Everything runs in integers, in the k = dim - len(directions) quotient
+    coordinates of the context's integer basis F, and each normal goes
+    back to the ambient lattice through `ContainmentContext.lift`.  The
     functionals constant on the image of A, the integer nullspace of the
     point offsets (`linalg.integer_nullspace`), are added in both signs.
     When there are none, the offsets have full rank k: the hull
@@ -388,8 +396,7 @@ def certificate_normals(
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
-    fbasis = ctx.covectors(_check_dims(A, None, ctx))
-    k = len(fbasis)
+    k = _check_dims(A, None, ctx) - len(ctx.mod_directions)
     if k == 0:
         return ()
     phi = [ctx.project(p) for p in A.points]
@@ -413,10 +420,10 @@ def certificate_normals(
                 raw.append([sum(a * b for a, b in zip(h, col)) for col in zip(*T)])
 
     out: set[OnePS] = set()
-    for u_k in raw:
-        ambient = [sum(a * b for a, b in zip(u_k, col)) for col in zip(*fbasis)]
-        if any(ambient):
-            out.add(clear_denominators(ambient))
+    for h in raw:
+        u = ctx.lift(h)
+        if any(u):
+            out.add(clear_denominators(u))
     return tuple(sorted(out))
 
 

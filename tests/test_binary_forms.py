@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,36 @@ class TestBinaryForm:
         assert normalize_root(Fraction(1, 2), 1) == (1, 2)
         with pytest.raises(ValueError):
             normalize_root(0, 0)
+
+    @pytest.mark.parametrize("kind", [int, Fraction, str])
+    def test_root_normalization_against_an_oracle(self, kind):
+        """The primitive integer multiple of (p, q) with q > 0, or p > 0
+        when q = 0, found by a search over small multiples."""
+        def oracle(p, q):
+            for n in range(1, 10_000):
+                a, b = p * n, q * n
+                if a.denominator == 1 and b.denominator == 1:
+                    a, b = int(a), int(b)
+                    g = math.gcd(a, b)
+                    a, b = a // g, b // g
+                    return (-a, -b) if b < 0 or (b == 0 and a < 0) else (a, b)
+
+        rng = random.Random(17)
+        cases = [(0, 3), (0, -3), (5, 0), (-5, 0), (-2, -4), (6, -9)]
+        for _ in range(60):
+            if kind is int:
+                cases.append((rng.randint(-12, 12), rng.randint(-12, 12)))
+            else:
+                cases.append(tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+                                   for _ in range(2)))
+        for p, q in cases:
+            p, q = Fraction(p), Fraction(q)
+            if p == 0 and q == 0:
+                continue
+            args = (p, q) if kind is not int else (int(p), int(q))
+            if kind is str:
+                args = (str(p), str(q))
+            assert normalize_root(*args) == oracle(p, q)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -307,24 +307,35 @@ class TestExitCodes:
         assert code == 3
         assert payload["error"].startswith("RuntimeError: internal: ")
 
-    @pytest.mark.parametrize(
-        "witness", [(1, 0), (0, 0), (-1, 1)], ids=["inadmissible", "zero", "no_gap"]
-    )
+    @pytest.mark.parametrize("command, witness", [
+        # The `check` cases have bare ids; the others add the command name.
+        pytest.param(command, witness, id=name if command == "check" else f"{name}-{command}")
+        for command in ("check", "destabilize", "relinv", "stable")
+        for name, witness in (("inadmissible", (1, 0)), ("zero", (0, 0)), ("no_gap", (-1, 1)))
+    ])
     def test_a_witness_that_fails_verification_is_internal(
-        self, capsys, monkeypatch, tmp_path, witness
+        self, capsys, monkeypatch, tmp_path, command, witness
     ):
-        # An inadmissible witness is caught before `futaki_gen`, whose
+        # Every unstable answer verifies its witness in one place.  An
+        # inadmissible witness is caught before `futaki_gen`, whose
         # ValueError would read as an input error (exit 2).
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({
             "rank": 2, "constraints": [[1, 1]], "Q": [[1, -1], [-1, 1]],
             "v": {"support": [[1, 0], [0, 1]]}, "w": {"support": [[1, 0]]},
         }))
-        monkeypatch.setattr(
-            stablepairs.cli, "t_semistable",
-            lambda pair: stablepairs.pairs.Verdict(False, witness),
-        )
-        code, payload = run(capsys, "check", str(path))
+        if command == "stable":
+            monkeypatch.setattr(
+                stablepairs.cli, "stable",
+                lambda pair, m_max: stablepairs.pairs.StableVerdict.unstable_base(witness),
+            )
+        else:
+            monkeypatch.setattr(
+                stablepairs.cli, "t_semistable",
+                lambda pair: stablepairs.pairs.Verdict(False, witness),
+            )
+        extra = ["--chi", "1,0"] if command == "relinv" else []
+        code, payload = run(capsys, command, str(path), *extra)
         assert code == 3
         assert payload == {"error": "RuntimeError: internal: emitted witness failed verification"}
 

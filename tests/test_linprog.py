@@ -195,8 +195,8 @@ def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
     ([], [True, True]),
 ])
 def test_zero_objective_over_zero_rhs_is_the_origin(rows, nonneg):
-    """x = 0 is feasible and phase 1 has nothing to do: answered at once,
-    and equal to the plainer solver's full run."""
+    """x = 0 is feasible and phase 1 starts at its optimum: no pivot, and
+    the answer equals the plainer solver's full run."""
     n = len(nonneg)
     res = solve_lp([0] * n, rows, [0] * len(rows), nonneg)
     assert res.status == OPTIMAL

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -278,7 +279,7 @@ class TestPerturb:
     def test_rejects_bad_exponent(self):
         p = Pair(WeightedVector([(0, 0)]), WeightedVector([(1, 0)]), FREE2)
         with pytest.raises(ValueError):
-            perturb(p, 0)
+            perturb(p, 0, 1)
 
 
 class TestStable:
@@ -581,6 +582,25 @@ class TestRelativeInvariant:
             # the whole relinv path: one LP per v-point outside w, none after
             assert decided == len(verdict.weights)
             compared += 1
+
+    def test_degree_is_the_lcm_of_the_weight_denominators(self):
+        rng = random.Random(21)
+        checked = 0
+        while checked < 60:
+            p = random_pair(rng)
+            verdict = t_semistable(p)
+            if not verdict.semistable:
+                continue
+            for chi in p.v.support:
+                if chi in p.w.support:
+                    continue
+                weights = verdict.weights[chi]
+                d, exponents = relative_invariant(p, chi, verdict)
+                assert d == math.lcm(*(l.denominator for l in weights))
+                assert exponents == {
+                    b: int(l * d) for b, l in zip(p.w.support.points, weights) if l
+                }
+                checked += 1
 
     def test_weights_of_another_pair_are_ignored(self):
         # Same v and w points, but the other pair is read modulo the

@@ -278,6 +278,29 @@ def _differential_sets(rng, rank):
         )
 
 
+@pytest.mark.parametrize("dirs", [
+    [],
+    [(1, 1, 1, 1)],
+    [(2, 3, 4, 5)],
+    [(1, 1, 1, 1), (3, -1, 0, 4)],
+], ids=["none", "diagonal", "fractional", "two"])
+def test_lift_is_the_adjoint_of_project(dirs):
+    """<lift(h), x> = <h, project(x)> for every quotient covector h and
+    point x, and lift(h) vanishes on the directions."""
+    ctx = ContainmentContext(dirs)
+    rng = random.Random(len(dirs) * 7 + sum(map(sum, dirs)))
+    k = 4 - len(dirs)
+    for _ in range(50):
+        h = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
+        x = [rng.randint(-9, 9) for _ in range(4)]
+        g = ctx.lift(h)
+        assert len(g) == 4
+        assert dot(g, x) == dot(h, ctx.project(x))
+        assert all(dot(g, d) == 0 for d in dirs)
+    if not dirs:
+        assert ctx.lift(h) is h
+
+
 def _quotient_contexts(rank, constrained):
     """No direction, or the all-ones direction, then directions with other
     entries: there the quotient basis is fractional and the hull map of a

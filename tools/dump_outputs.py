@@ -1,0 +1,62 @@
+"""Dump the output of every benchmark workload operation, one repr per line.
+
+    python3 tools/dump_outputs.py OUT
+
+Runs one pass over the seeded pools of `bench/workloads.py` (imported, never
+changed) against the package under `src/` of this checkout, and writes the
+`repr` of each operation's output to OUT: `verdicts`, `cli_mix` and `energy`
+for seeds 1-3, with `certificate_normals` of each `energy` pair, and
+`exponent` for seed 1.  Verdicts, certificates, CLI stdout and exit codes,
+and float reprs of slopes and estimates all appear, so two checkouts that
+compute the same outputs give equal files:
+
+    python3 tools/dump_outputs.py before.txt   # in the old checkout
+    python3 tools/dump_outputs.py after.txt    # in the new one
+    cmp before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import stablepairs as sp  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+RUNS = [(name, seed) for name in ("verdicts", "cli_mix", "energy") for seed in (1, 2, 3)]
+RUNS.append(("exponent", 1))
+
+
+def dump(out) -> int:
+    lines = 0
+    for name, seed in RUNS:
+        workload = WORKLOADS[name]
+        with tempfile.TemporaryDirectory() as workdir:
+            for batch in workload.setup(random.Random(seed), workdir):
+                for item in batch:
+                    out.write(f"{name} {seed} {workload.run(item)!r}\n")
+                    lines += 1
+                    if name == "energy":
+                        p = item[0]
+                        normals = sp.certificate_normals(p.w.support, p.problem.ctx)
+                        out.write(f"{name} {seed} normals {normals!r}\n")
+                        lines += 1
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        sys.exit("usage: dump_outputs.py OUT")
+    with open(argv[0], "w") as out:
+        lines = dump(out)
+    print(f"{lines} lines written to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
