@@ -16,7 +16,8 @@ and the exact slope form of the properness inequality lives in `pairs`.
 
 `infimum_estimate` probes the energy only along lines s0 + t d.  Per line
 each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope
-2<d, a>, so a probe is one log-sum-exp per side.  The pairings with each
+2<d, a>, so a probe is one call per side of `_log_sum_exp`, the module's
+only log-sum-exp, which `energy_at` calls too.  The pairings with each
 direction d are exact integers divided once, with one rounding, by the
 common denominator of d (`linalg.integral`); each direction is checked
 admissible once, exactly, instead of the float check `energy_at` makes on
@@ -60,6 +61,8 @@ def _check_torus_element(p: Pair, s: Sequence[float]) -> tuple[float, ...]:
     coords = _coords(s)
     if len(coords) != p.problem.rank:
         raise ValueError("torus element has wrong rank")
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"torus element has a non-finite coordinate: {coords}")
     scale = max(1.0, max((abs(x) for x in coords), default=0.0))
     for c in p.problem.constraints:
         if abs(sum(ci * si for ci, si in zip(c, coords))) > _CONSTRAINT_TOL * scale:
@@ -68,15 +71,19 @@ def _check_torus_element(p: Pair, s: Sequence[float]) -> tuple[float, ...]:
 
 
 def _log_sum_exp(terms: list[float]) -> float:
-    # log sum exp(terms), stabilized against overflow.
+    # log sum exp(terms), stabilized against overflow.  Summed left to right,
+    # the float additions of CPython 3.11's `sum`, on every Python version.
     m = max(terms)
-    return m + math.log(sum(map(math.exp, [t - m for t in terms])))
+    total = 0
+    for t in terms:
+        total += math.exp(t - m)
+    return m + math.log(total)
 
 
 def _log_norm_sq(vec: WeightedVector, s: Sequence[float]) -> float:
     # log sum |coeff|^2 exp(2<s, a>)
     return _log_sum_exp([
-        log_mag + 2.0 * sum(si * ai for si, ai in zip(s, a))
+        log_mag + 2.0 * sum(map(mul, s, a))
         for a, log_mag in zip(vec.support.points, vec.log_magnitudes)
     ])
 
@@ -107,23 +114,17 @@ def _line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides):
 
     s0 is the sum of c * d_j over `shift`, given as pairs (c, pairings of
     d_j); d is given by its pairings.  The bases log|c_a|^2 + 2<s0, a> are
-    summed once, so a probe costs one log-sum-exp per side, inlined over
-    the (base, slope) pairs zipped here, with the float operations of
-    `_log_sum_exp` in the same order.
+    summed once, so a probe is two `_log_sum_exp` calls, one per side, over
+    the (base, slope) pairs zipped here.
     """
     bases = [list(p.w.log_magnitudes), list(p.v.log_magnitudes)]
     for c, sides in shift:
         bases = [[b + c * k for b, k in zip(base, side)] for base, side in zip(bases, sides)]
     (bw, bv), (kw, kv) = bases, along
     w, v = list(zip(bw, kw)), list(zip(bv, kv))
-    exp, log = math.exp, math.log
 
     def energy(t: float) -> float:
-        xw = [b + t * k for b, k in w]
-        xv = [b + t * k for b, k in v]
-        mw, mv = max(xw), max(xv)
-        return ((mw + log(sum([exp(x - mw) for x in xw])))
-                - (mv + log(sum([exp(x - mv) for x in xv]))))
+        return _log_sum_exp([b + t * k for b, k in w]) - _log_sum_exp([b + t * k for b, k in v])
 
     return energy
 
@@ -204,8 +205,8 @@ def infimum_estimate(p: Pair) -> float:
             energy = _line(p, shift, along)
             lo, hi = coeffs[k] - _BRACKET, coeffs[k] + _BRACKET
             for _ in range(40):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
+                third = (hi - lo) / 3
+                m1, m2 = lo + third, hi - third
                 if energy(m1) <= energy(m2):
                     hi = m2
                 else:

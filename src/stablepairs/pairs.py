@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import log
+from math import inf, log
+from sys import float_info
 from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
@@ -182,6 +183,18 @@ def _aligned_magnitudes(
     return aligned
 
 
+def _log_magnitude(m: Fraction) -> float:
+    # log(float(m)) while m is a normal float; past the float range, where
+    # float(m) overflows, vanishes or drops bits, from the exact ratio.
+    try:
+        f = float(m)
+    except OverflowError:
+        f = inf
+    if float_info.min <= f < inf:
+        return log(f)
+    return log(m.numerator) - log(m.denominator)
+
+
 @dataclass(frozen=True)
 class WeightedVector:
     """A vector known through its character support and squared magnitudes.
@@ -226,7 +239,7 @@ class WeightedVector:
     @cached_property
     def log_magnitudes(self) -> tuple[float, ...]:
         """Natural logs of the squared magnitudes, aligned with the support."""
-        return tuple(log(float(m)) for m in self.magnitudes)
+        return tuple(map(_log_magnitude, self.magnitudes))
 
     def magnitude_of(self, p: Sequence[int]) -> Fraction:
         key = lattice_point(p)

@@ -176,13 +176,18 @@ def reference_solve_lp(
 
 # ---------------------------------------------------------------------------
 # The energy along a line through two calls of a generic log-sum-exp per
-# probe: the bit-identity oracle for `energy._line`, which inlines the same
-# float operations in the same order.
+# probe: the bit-identity oracle for `energy._line`, whose probes call
+# `energy._log_sum_exp`, once per side, in the same order.  The sum is an
+# explicit left-to-right loop: on CPython 3.11 it makes the float additions
+# of `sum`, and it keeps them on versions whose `sum` compensates.
 
 def _log_sum_exp(terms: list[float]) -> float:
     # log sum exp(terms), stabilized against overflow.
     m = max(terms)
-    return m + math.log(sum(map(math.exp, [t - m for t in terms])))
+    total = 0
+    for t in terms:
+        total += math.exp(t - m)
+    return m + math.log(total)
 
 
 # Per side (w, then v), one float per support point.

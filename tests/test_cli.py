@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import random
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -270,20 +272,30 @@ class TestHullCap:
 
 
 class TestExitCodes:
-    def test_overflowing_magnitude_is_input_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("magnitude", ["1e400", str(Fraction(1, 10**333)),
+                                           str(Fraction(3, 10**320))],
+                             ids=["1e400", "1/10^333", "3/10^320"])
+    def test_magnitude_beyond_the_float_range_is_answered(self, capsys, tmp_path, magnitude):
+        # An exact rational magnitude is valid input whether or not a float
+        # holds it: `check` and `energy` both answer.
         big = tmp_path / "big.json"
         big.write_text(
             json.dumps(
                 {
                     "rank": 2,
-                    "v": {"support": [[0, 0]], "magnitudes": ["1e400"]},
+                    "v": {"support": [[0, 0]], "magnitudes": [magnitude]},
                     "w": {"support": [[0, 0], [1, 0]]},
                 }
             )
         )
-        code, payload = run(capsys, "energy", str(big), "--ops", "1,0", "--slope")
-        assert code == 2
-        assert "error" in payload
+        assert run(capsys, "check", str(big))[0] == 0
+        code, payload = run(capsys, "energy", str(big), "--ops", "1,0", "--slope", "--infimum")
+        assert code == 0
+        m = Fraction(magnitude)
+        log_v = math.log(m.numerator) - math.log(m.denominator)
+        assert math.isclose(payload["energy_at_identity"], math.log(2) - log_v, rel_tol=1e-12)
+        assert abs(payload["slope"]) < 1e-6  # futaki_gen is 0 along (1, 0)
+        assert payload["infimum_estimate"] <= payload["energy_at_identity"]
 
     def test_internal_failure_has_its_own_code(self, capsys, monkeypatch, semistable_file):
         def broken(pair):

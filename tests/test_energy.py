@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from stablepairs import (
 from stablepairs.linalg import nullspace
 
 from helpers import (
+    _log_sum_exp,
     _o_rref,
     kempf_ness_distance,
     random_magnitudes,
@@ -75,14 +77,47 @@ class TestEnergyAt:
             energy_at(p, [1.0, 1.0])
         energy_at(p, [1.0, -1.0])  # admissible direction is fine
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("problem", [FREE2, StabilityProblem.special_linear(1)],
+                             ids=["free", "constrained"])
+    def test_non_finite_log_moduli_rejected(self, bad, problem):
+        p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), problem)
+        for s in ([bad, 0.0], [bad, -bad], TorusElement([0.0, bad])):
+            with pytest.raises(ValueError, match="non-finite"):
+                energy_at(p, s)
+
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_magnitudes_beyond_the_float_range(self, exponent):
+        """At the identity the energy is log sum |w|^2 - log sum |v|^2; a
+        magnitude 10^(+-400), which no float holds, enters through its log."""
+        big = Fraction(10) ** exponent
+        p = Pair(WeightedVector([(0, 0)], [big]),
+                 WeightedVector([(0, 0), (1, 0)], [1, Fraction(1, 3)]), FREE2)
+        expected = math.log(Fraction(4, 3)) - exponent * math.log(10)
+        assert math.isclose(energy_at(p, [0.0, 0.0]), expected, rel_tol=1e-12)
+        assert math.isclose(energy_at(p, [-2.0, 0.0]),
+                            math.log(1 + math.exp(-4) / 3) - exponent * math.log(10),
+                            rel_tol=1e-12)
+
+    def test_subnormal_magnitude_keeps_its_precision(self):
+        # float(3/10^320) is a subnormal holding only about 36 of 53 bits.
+        m = Fraction(3, 10**320)
+        expected = math.log(3) - 320 * math.log(10)
+        assert abs(math.log(float(m)) - expected) > 1e-6
+        (got,) = WeightedVector([(0,)], [m]).log_magnitudes
+        assert math.isclose(got, expected, rel_tol=1e-12)
+
+    def test_normal_magnitudes_keep_the_float_log(self):
+        mags = [Fraction(1, 7), Fraction(10) ** 300, Fraction(1, 10**300), Fraction(5, 3)]
+        v = WeightedVector([(i,) for i in range(len(mags))], mags)
+        assert v.log_magnitudes == tuple(math.log(float(m)) for m in mags)
+
     def test_matches_uncached_formula_bit_for_bit(self):
         def log_norm_sq(vec, s):
-            terms = [
+            return _log_sum_exp([
                 math.log(float(mag)) + 2.0 * sum(si * ai for si, ai in zip(s, a))
                 for a, mag in zip(vec.support.points, vec.magnitudes)
-            ]
-            m = max(terms)
-            return m + math.log(sum(math.exp(t - m) for t in terms))
+            ])
 
         rng = random.Random(17)
         for _ in range(40):
@@ -319,8 +354,8 @@ class TestLineKernel:
         assert min(kinds.values()) >= 8
 
     def test_bit_identical_to_the_reference_probe(self):
-        """The inlined probe makes the float operations of `reference_line`
-        in the same order, so the two agree exactly, not to a tolerance."""
+        """A probe makes the float operations of `reference_line` in the
+        same order, so the two agree exactly, not to a tolerance."""
         rng = random.Random(4242)
         shifted = 0
         for _ in range(120):
@@ -352,6 +387,59 @@ class TestLineKernel:
             [float(2 * (d[0] * a[0] + d[1] * a[1])) for a in vec.support.points]
             for vec in (p.w, p.v)
         )
+
+
+class TestLogSumExp:
+    """`energy._log_sum_exp`, the one log-sum-exp of the energy, against the
+    oracle of `tests/helpers.py` under `float.hex`."""
+
+    CASES = {
+        "one term": [-3.25],
+        "all equal": [0.7] * 5,
+        "underflow": [0.0, -800.0, -1600.0, 3.5, 3.5 - 800.0],
+        "negative zero": [-0.0, -1.5, 2.0],
+        "only negative zero": [-0.0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_edge_cases_match_the_oracle(self, name):
+        terms = self.CASES[name]
+        assert stablepairs.energy._log_sum_exp(terms).hex() == _log_sum_exp(terms).hex()
+
+    def test_seeded_lists_match_the_oracle(self):
+        rng = random.Random(1717)
+        for _ in range(200):
+            terms = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 16))]
+            assert stablepairs.energy._log_sum_exp(terms).hex() == _log_sum_exp(terms).hex()
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum compensates since 3.12")
+    def test_loop_makes_the_additions_of_sum(self):
+        rng = random.Random(1718)
+        for _ in range(200):
+            terms = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 16))]
+            m = max(terms)
+            plain = m + math.log(sum(map(math.exp, [t - m for t in terms])))
+            assert stablepairs.energy._log_sum_exp(terms).hex() == plain.hex()
+
+    def test_two_calls_per_line_probe(self, monkeypatch):
+        calls = []
+        real = stablepairs.energy._log_sum_exp
+
+        def counting(terms):
+            calls.append(len(terms))
+            return real(terms)
+
+        monkeypatch.setattr(stablepairs.energy, "_log_sum_exp", counting)
+        rng = random.Random(1719)
+        for p in semistable_pairs(1720, 12):
+            basis = nullspace(p.problem.constraints, p.problem.rank)
+            if not basis:
+                continue
+            energy = stablepairs.energy._line(p, [], stablepairs.energy._pairings(p, basis[0]))
+            for _ in range(5):
+                calls.clear()
+                energy(rng.uniform(-8, 8))
+                assert calls == [len(p.w.support), len(p.v.support)]
 
 
 class TestInfimumEstimateProbes:
