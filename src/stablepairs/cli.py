@@ -22,14 +22,16 @@ before any work, since the default reference polytope grows with it.
 `stable` and `energy --infimum` enumerate the facets of the w-support (and
 `stable` those of `Q`); a hull that could have too many is refused up front
 too (`MAX_HULL_WORK`), and so are a `binary --oracle` request whose forms
-have a total degree above `MAX_ORACLE_DEGREE` and a `variety` request with
-N above `MAX_VARIETY_N`.
+have a total degree above `MAX_ORACLE_DEGREE`, a `variety` request with
+N above `MAX_VARIETY_N`, and a magnitude whose exponent would give a
+numerator or denominator of more than `MAX_MAGNITUDE_DIGITS` digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -61,6 +63,14 @@ EXIT_INTERNAL = 3
 # with an LP of rank + 1 rows over 2 * rank points: about 0.05 s at rank 16
 # and 4 s at rank 80 on one core of an Intel Xeon.
 MAX_RANK = 16
+
+# A magnitude is an exact rational, and an exponent names a large integer in
+# a few bytes: `Fraction("1e1000000")` builds a million-digit numerator in
+# about 0.3 s on one core of an Intel Xeon, and "1e10000000" takes about
+# 12 s.  A magnitude whose numerator or denominator, as written, would have
+# more digits than Python's own limit on integer strings is refused before
+# `Fraction` builds it.
+MAX_MAGNITUDE_DIGITS = 4300
 
 # `certificate_normals` enumerates facets by double description; its work
 # grows with the points n times the facets, and n points in dimension d can
@@ -101,6 +111,27 @@ def _list(value: Any, name: str) -> list:
     return value
 
 
+# The decimal forms `Fraction` reads with an exponent (and a few it refuses):
+# integer digits, fractional digits, exponent.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+
+
+def _magnitude(m: Any) -> Fraction:
+    text = str(m)
+    form = _EXPONENT_FORM.fullmatch(text)
+    if form:
+        whole, frac, exp = (part.replace("_", "") for part in form.groups(""))
+        # The value is int(whole + frac) * 10**shift.
+        shift = int(exp) - len(frac)
+        digits = len((whole + frac).lstrip("0")) + shift if shift >= 0 else 1 - shift
+        if digits > MAX_MAGNITUDE_DIGITS:
+            raise InputError(
+                f"magnitude {text[:32]!r} has an exponent beyond the cap of "
+                f"{MAX_MAGNITUDE_DIGITS} digits"
+            )
+    return Fraction(text)
+
+
 def parse_weighted_vector(obj: Any) -> WeightedVector:
     if not isinstance(obj, dict) or not isinstance(obj.get("support"), list):
         raise InputError("vector entries need a 'support' list")
@@ -110,7 +141,7 @@ def parse_weighted_vector(obj: Any) -> WeightedVector:
         return WeightedVector(support)
     if len(_list(mags, "magnitudes")) != len(support):
         raise InputError("magnitudes must be parallel to the support")
-    return WeightedVector(support, [Fraction(str(m)) for m in mags])
+    return WeightedVector(support, [_magnitude(m) for m in mags])
 
 
 def parse_problem(obj: Any) -> Pair:

@@ -11,9 +11,11 @@ for the energy.
 `facet_weight_semistable` is the one package-side criterion path here.
 `reference_solve_lp` is a plainer simplex, the differential oracle for
 `linprog.solve_lp`, `reference_line` the energy probe through a
-generic log-sum-exp, the bit-identity oracle for `energy._line`, and
+generic log-sum-exp, the bit-identity oracle for `energy._Line`, and
 `reference_infimum_estimate` the search with every ray probe made, the
-float-identity oracle for `energy.infimum_estimate`.
+float-identity oracle for `energy.infimum_estimate`, and
+`ternary_infimum_estimate` its earlier 40-step search, frozen, which the
+estimate should never end above.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def reference_solve_lp(
 
 # ---------------------------------------------------------------------------
 # The energy along a line through two calls of a generic log-sum-exp per
-# probe: the bit-identity oracle for `energy._line`, whose probes call
+# probe: the bit-identity oracle for `energy._Line`, whose probes call
 # `energy._log_sum_exp`, once per side, in the same order.  The sum is an
 # explicit left-to-right loop: on CPython 3.11 it makes the float additions
 # of `sum`, and it keeps them on versions whose `sum` compensates.
@@ -194,6 +196,15 @@ def _log_sum_exp(terms: list[float]) -> float:
 _Sides = tuple[list[float], list[float]]
 
 
+def _o_terms(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides):
+    # (base, slope) per support point and side along s0 + t d: the bases
+    # log|c_a|^2 + 2<s0, a> summed once, s0 the sum of c * d_j over `shift`.
+    bases = [list(p.w.log_magnitudes), list(p.v.log_magnitudes)]
+    for c, sides in shift:
+        bases = [[b + c * k for b, k in zip(base, side)] for base, side in zip(bases, sides)]
+    return [list(zip(base, side)) for base, side in zip(bases, along)]
+
+
 def reference_line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides):
     """The energy along s0 + t d as a function of t.
 
@@ -201,16 +212,62 @@ def reference_line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides
     d_j); d is given by its pairings.  The bases log|c_a|^2 + 2<s0, a> are
     summed once, so a probe costs one log-sum-exp per side.
     """
-    bases = [list(p.w.log_magnitudes), list(p.v.log_magnitudes)]
-    for c, sides in shift:
-        bases = [[b + c * k for b, k in zip(base, side)] for base, side in zip(bases, sides)]
-    (bw, bv), (kw, kv) = bases, along
+    w, v = _o_terms(p, shift, along)
 
     def energy(t: float) -> float:
-        return (_log_sum_exp([b + t * k for b, k in zip(bw, kw)])
-                - _log_sum_exp([b + t * k for b, k in zip(bv, kv)]))
+        return (_log_sum_exp([b + t * k for b, k in w])
+                - _log_sum_exp([b + t * k for b, k in v]))
 
     return energy
+
+
+def _o_moments(terms, t: float) -> tuple[float, float]:
+    # Mean and variance of the slopes under the weights exp(b + t k), the
+    # exponentials shifted by their largest exponent and summed in order.
+    xs = [b + t * k for b, k in terms]
+    m = max(xs)
+    s0 = s1 = s2 = 0.0
+    for x, (_, k) in zip(xs, terms):
+        e = math.exp(x - m)
+        s0 += e
+        s1 += e * k
+        s2 += e * k * k
+    mean = s1 / s0
+    return mean, s2 / s0 - mean * mean
+
+
+def reference_newton(p: Pair, shift, along: _Sides, lo: float, hi: float) -> float:
+    """The Newton finish of a line search.  From the midpoint of [lo, hi],
+    the bracket is kept by the sign of E', the difference of the Gibbs
+    means of the slopes.  The next point is the Newton step when E'' (the
+    difference of the variances) is positive and the step lands strictly
+    inside, else the end E' points to while E' is unknown there, else the
+    midpoint.  It ends on a step of at most 1e-10 (1 + |t|), or after 64
+    evaluations."""
+    w, v = _o_terms(p, shift, along)
+    t = (lo + hi) / 2
+    lo_known = hi_known = False  # E' evaluated at the end
+    for _ in range(64):
+        (mw, vw), (mv, vv) = _o_moments(w, t), _o_moments(v, t)
+        slope, curvature = mw - mv, vw - vv
+        if slope == 0:
+            return t
+        if slope > 0:
+            hi, hi_known = t, True
+        else:
+            lo, lo_known = t, True
+        if curvature > 0 and lo < t - slope / curvature < hi:
+            nxt = t - slope / curvature
+        elif slope > 0 and not lo_known:
+            nxt = lo
+        elif slope < 0 and not hi_known:
+            nxt = hi
+        else:
+            nxt = (lo + hi) / 2
+        step, t = nxt - t, nxt
+        if abs(step) <= 1e-10 * (1.0 + abs(t)):
+            break
+    return t
 
 
 def _o_pairings(p: Pair, d) -> _Sides:
@@ -221,12 +278,53 @@ def _o_pairings(p: Pair, d) -> _Sides:
     )
 
 
+def _rays(p: Pair, normals, best: float) -> float:
+    # Both signs of six distances along every certificate normal.
+    for u in normals:
+        energy = reference_line(p, (), _o_pairings(p, u))
+        for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+            for sign in (1.0, -1.0):
+                best = min(best, energy(sign * tau))
+    return best
+
+
 def reference_infimum_estimate(p: Pair) -> float:
     """The search of `energy.infimum_estimate` with every ray probe made:
-    4 coordinate-descent sweeps of 40-step ternary searches over the
-    quotient basis, then both signs of six distances along every
+    4 coordinate-descent sweeps over the quotient basis, each line searched
+    by 8 ternary steps in a bracket of half-width 8 and finished by
+    `reference_newton`, then both signs of six distances along every
     certificate normal, each probe through `reference_line`.  The
     float-identity oracle for the estimate, whose ray probes are pruned."""
+    normals = certificate_normals(p.w.support, p.problem.ctx)
+    if any(futaki_gen(u, p) > 0 for u in normals):
+        return -math.inf
+    rank = p.problem.rank
+    best = energy_at(p, [0.0] * rank)
+    basis = [_o_pairings(p, e) for e in p.problem.ctx.covectors(rank)]
+    if not basis:
+        return best
+    coeffs = [0.0] * len(basis)
+    for _ in range(4):
+        for k, along in enumerate(basis):
+            shift = [(c, e) for j, (c, e) in enumerate(zip(coeffs, basis)) if j != k]
+            energy = reference_line(p, shift, along)
+            lo, hi = coeffs[k] - 8.0, coeffs[k] + 8.0
+            for _ in range(8):
+                m1 = lo + (hi - lo) / 3
+                m2 = hi - (hi - lo) / 3
+                if energy(m1) <= energy(m2):
+                    hi = m2
+                else:
+                    lo = m1
+            coeffs[k] = reference_newton(p, shift, along, lo, hi)
+            best = min(best, energy(coeffs[k]))
+    return _rays(p, normals, best)
+
+
+def ternary_infimum_estimate(p: Pair) -> float:
+    """The estimate's earlier search, kept frozen: each line searched by 40
+    ternary steps, to within 1.4e-6, with no Newton finish.  The search
+    `infimum_estimate` makes should reach no higher on any pair."""
     normals = certificate_normals(p.w.support, p.problem.ctx)
     if any(futaki_gen(u, p) > 0 for u in normals):
         return -math.inf
@@ -250,12 +348,7 @@ def reference_infimum_estimate(p: Pair) -> float:
                     lo = m1
             coeffs[k] = (lo + hi) / 2
             best = min(best, energy(coeffs[k]))
-    for u in normals:
-        energy = reference_line(p, (), _o_pairings(p, u))
-        for tau in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-            for sign in (1.0, -1.0):
-                best = min(best, energy(sign * tau))
-    return best
+    return _rays(p, normals, best)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import stablepairs.pairs
 import stablepairs.polytope
 from stablepairs import Pair, StabilityProblem, WeightedVector
 from stablepairs.cli import (
+    MAX_MAGNITUDE_DIGITS,
     MAX_ORACLE_DEGREE,
     MAX_RANK,
     MAX_VARIETY_N,
@@ -204,6 +205,26 @@ class TestProblemFields:
         path.write_text(json.dumps({"rank": MAX_RANK, "v": point, "w": point}))
         code, payload = run(capsys, "check", str(path))
         assert (code, payload) == (0, {"status": "semistable"})
+
+    @pytest.mark.parametrize("magnitude", ["1e1000000", "1e-1000000", "2.5E+4300", "1e4300",
+                                           "0.5e-4299", "1e1_000_000"])
+    def test_magnitude_beyond_the_digit_cap_is_refused_up_front(self, capsys, tmp_path,
+                                                                  magnitude):
+        # "1e1000000" would build a million-digit numerator; each of these
+        # would have a numerator or denominator of 4301 digits or more.
+        problem = {"rank": 2, "v": {"support": [[0, 0]], "magnitudes": [magnitude]}, "w": _POINT}
+        start = time.perf_counter()
+        error = self.check_error(capsys, tmp_path, problem)
+        assert time.perf_counter() - start < 0.05
+        assert str(MAX_MAGNITUDE_DIGITS) in error and "cap" in error
+
+    @pytest.mark.parametrize("magnitude", ["1e4299", "1.5e4299", "1e-4299", "001e4299"])
+    def test_magnitude_at_the_digit_cap_is_accepted(self, capsys, tmp_path, magnitude):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"rank": 2, "w": _POINT,
+                                    "v": {"support": [[0, 0]], "magnitudes": [magnitude]}}))
+        assert run(capsys, "check", str(path)) == (0, {"status": "semistable"})
+        assert max(map(len, str(Fraction(magnitude)).split("/"))) == MAX_MAGNITUDE_DIGITS
 
 
 def _moment_curve(rank, npoints):
