@@ -55,13 +55,7 @@ from .futaki import (
     futaki_classical,
     stabilizer_subtorus,
 )
-from .energy import (
-    TorusElement,
-    asymptotic_slope,
-    energy_along,
-    energy_at,
-    infimum_estimate,
-)
+from .energy import asymptotic_slope, energy_along, energy_at, infimum_estimate
 from .binary_forms import (
     BinaryForm,
     FormPairVerdict,
@@ -96,7 +90,6 @@ __all__ = [
     "StabilityProblem",
     "StabilizerSubtorus",
     "StableVerdict",
-    "TorusElement",
     "VarietyDatum",
     "Verdict",
     "WeightedVector",

@@ -23,8 +23,8 @@ before any work, since the default reference polytope grows with it.
 `stable` those of `Q`); a hull that could have too many is refused up front
 too (`MAX_HULL_WORK`), and so are a `binary --oracle` request whose forms
 have a total degree above `MAX_ORACLE_DEGREE`, a `variety` request with
-N above `MAX_VARIETY_N`, and a magnitude whose exponent would give a
-numerator or denominator of more than `MAX_MAGNITUDE_DIGITS` digits.
+N above `MAX_VARIETY_N`, and a magnitude or `--mu` whose exponent would
+give a numerator or denominator of more than `MAX_MAGNITUDE_DIGITS` digits.
 """
 
 from __future__ import annotations
@@ -129,7 +129,10 @@ def _magnitude(m: Any) -> Fraction:
                 f"magnitude {text[:32]!r} has an exponent beyond the cap of "
                 f"{MAX_MAGNITUDE_DIGITS} digits"
             )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"magnitude {text[:32]!r} has a zero denominator") from None
 
 
 def parse_weighted_vector(obj: Any) -> WeightedVector:
@@ -392,7 +395,7 @@ def cmd_variety(args) -> int:
     if args.N > MAX_VARIETY_N:
         raise InputError(f"N = {args.N} is above the cap of {MAX_VARIETY_N}")
     try:
-        datum = VarietyDatum(args.n, args.d, Fraction(args.mu), args.N)
+        datum = VarietyDatum(args.n, args.d, _magnitude(args.mu), args.N)
         report = degrees(datum, genus=args.genus)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

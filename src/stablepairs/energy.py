@@ -20,7 +20,9 @@ each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope
 only log-sum-exp, which `energy_at` calls too.  A line search takes 8
 ternary steps, which pick the basin, and a safeguarded Newton iteration on
 E' finishes it; E' and E'' are the differences of the Gibbs means and
-variances of the slopes (`_moments`), so the finish needs no energy value.
+variances of the slopes (`_Line.derivatives`), so the finish needs no energy
+value.  `energy_along` probes the line along u through the identity once, and
+`asymptotic_slope` is half of its E', from the Gibbs means, at t = 1e-8.
 The pairings with each direction d are exact integers divided once, with
 one rounding, by the common denominator of d (`linalg.integral`); each
 direction is checked admissible once, exactly, instead of the float check
@@ -33,7 +35,6 @@ current estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -45,24 +46,8 @@ from .polytope import certificate_normals
 _CONSTRAINT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Log moduli s_i of a diagonal torus element (t_i = e^{s_i})."""
-
-    log_moduli: tuple[float, ...]
-
-    def __init__(self, log_moduli: Iterable[float]):
-        object.__setattr__(self, "log_moduli", tuple(float(s) for s in log_moduli))
-
-
-def _coords(s: TorusElement | Sequence[float]) -> tuple[float, ...]:
-    if isinstance(s, TorusElement):
-        return s.log_moduli
-    return tuple(float(x) for x in s)
-
-
 def _check_torus_element(p: Pair, s: Sequence[float]) -> tuple[float, ...]:
-    coords = _coords(s)
+    coords = tuple(float(x) for x in s)
     if len(coords) != p.problem.rank:
         raise ValueError("torus element has wrong rank")
     if not all(map(math.isfinite, coords)):
@@ -136,22 +121,25 @@ class _Line:
         return (_log_sum_exp([b + t * k for b, k in self.w])
                 - _log_sum_exp([b + t * k for b, k in self.v]))
 
+    def derivatives(self, t: float) -> tuple[float, float]:
+        """(E'(t), E''(t)): w- minus v-side Gibbs mean and variance (`_moments`)."""
+        (mw, vw), (mv, vv) = _moments(self.w, t), _moments(self.v, t)
+        return mw - mv, vw - vv
+
     def newton(self, lo: float, hi: float) -> float:
         """The minimizer on [lo, hi], from the midpoint: a zero of E', or an end.
 
-        E'(t) is the Gibbs mean of the w-slopes minus that of the v-slopes,
-        E''(t) the difference of their variances (`_moments`).  The sign of
-        E' shrinks the bracket.  The Newton step is taken when E'' > 0 and
-        it lands strictly inside; otherwise the search goes to the end E'
-        points to if E' is not known there yet (the minimum on the bracket
-        may be that end), and else bisects.  It ends on a step of at most
-        1e-10 (1 + |t|), or after `_NEWTON_CAP` evaluations.
+        E' and E'' come from `derivatives`; the sign of E' shrinks the
+        bracket.  The Newton step is taken when E'' > 0 and it lands
+        strictly inside; otherwise the search goes to the end E' points to if
+        E' is not known there yet (the minimum on the bracket may be that
+        end), and else bisects.  It ends on a step of at most 1e-10 (1 + |t|),
+        or after `_NEWTON_CAP` evaluations.
         """
         t = (lo + hi) / 2
         lo_known = hi_known = False
         for _ in range(_NEWTON_CAP):
-            (mw, vw), (mv, vv) = _moments(self.w, t), _moments(self.v, t)
-            slope, curvature = mw - mv, vw - vv
+            slope, curvature = self.derivatives(t)
             if slope == 0:
                 return t
             if slope > 0:
@@ -190,7 +178,7 @@ def _moments(terms: list[tuple[float, float]], t: float) -> tuple[float, float]:
     return mean, s2 / s0 - mean * mean
 
 
-def energy_at(p: Pair, s: TorusElement | Sequence[float]) -> float:
+def energy_at(p: Pair, s: Sequence[float]) -> float:
     """Pair energy at the torus element with the given log moduli."""
     coords = _check_torus_element(p, s)
     return _log_norm_sq(p.w, coords) - _log_norm_sq(p.v, coords)
@@ -199,32 +187,25 @@ def energy_at(p: Pair, s: TorusElement | Sequence[float]) -> float:
 def energy_along(p: Pair, u: Sequence[int], t: float) -> float:
     """Energy along the one-parameter subgroup of u at parameter t in (0, 1].
 
-    The torus element is s = (log t) u; at t = 1 this is the identity.
+    The torus element is s = (log t) u; at t = 1 this is the identity.  It
+    is one probe, at log t, of the line through the identity along u.
     """
-    require_admissible(u, p.problem.constraints)
     if not 0.0 < t <= 1.0:
         raise ValueError("parameter t must lie in (0, 1]")
-    lt = math.log(t)
-    return energy_at(p, [lt * ui for ui in u])
+    return _Line(p, (), _pairings(p, u))(math.log(t))
 
 
-_SLOPE_SAMPLES = (1e-4, 1e-6, 1e-8)
+_SLOPE_AT = 1e-8  # the t at which `asymptotic_slope` reads E'
 
 
 def asymptotic_slope(p: Pair, u: Sequence[int]) -> float:
     """Slope of the energy along u with respect to log t^2 as t -> 0.
 
-    Least-squares through samples at t = 1e-4, 1e-6, 1e-8; matches the
-    generalized Futaki number to well under 1e-6 for moderate weights and
-    magnitudes, since subleading terms decay like powers of t^2.
+    Half of E' at log t on the line of `energy_along`, at t = 1e-8: the
+    difference of the Gibbs means of <u, b> over w and <u, a> over v, which
+    tends to the generalized Futaki number as the least pairings take over.
     """
-    xs = [math.log(t * t) for t in _SLOPE_SAMPLES]
-    ys = [energy_along(p, u, t) for t in _SLOPE_SAMPLES]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
+    return _Line(p, (), _pairings(p, u)).derivatives(math.log(_SLOPE_AT))[0] / 2
 
 
 _SWEEPS = 4  # coordinate-descent passes over the quotient basis

@@ -218,6 +218,10 @@ class TestProblemFields:
         assert time.perf_counter() - start < 0.05
         assert str(MAX_MAGNITUDE_DIGITS) in error and "cap" in error
 
+    def test_magnitude_with_a_zero_denominator_is_an_input_error(self, capsys, tmp_path):
+        problem = {"rank": 2, "v": {"support": [[0, 0]], "magnitudes": ["1/0"]}, "w": _POINT}
+        assert "zero denominator" in self.check_error(capsys, tmp_path, problem)
+
     @pytest.mark.parametrize("magnitude", ["1e4299", "1.5e4299", "1e-4299", "001e4299"])
     def test_magnitude_at_the_digit_cap_is_accepted(self, capsys, tmp_path, magnitude):
         path = tmp_path / "problem.json"
@@ -608,6 +612,16 @@ class TestVarietyCommand:
         )
         assert code == 2
         assert "cap" in payload["error"]
+
+    @pytest.mark.parametrize("mu", ["1e10000000", "1e99999999", "1e-99999999", "1/0"])
+    def test_mu_is_parsed_under_the_magnitude_cap(self, capsys, mu):
+        # Read as a bare `Fraction`, the first took about 10 s, the second
+        # and third would build a 10^8-digit integer, and the last raised
+        # ZeroDivisionError (exit 3).
+        start = time.perf_counter()
+        code, payload = run(capsys, "variety", "--n", "1", "--d", "2", "--mu", mu, "--N", "2")
+        assert time.perf_counter() - start < 0.05
+        assert code == 2 and "error" in payload
 
     def test_n_at_the_cap_is_accepted(self, capsys):
         n = MAX_VARIETY_N - 1

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from stablepairs import (
     Pair,
     PointSet,
     StabilityProblem,
-    TorusElement,
     WeightedVector,
     asymptotic_slope,
     certificate_normals,
@@ -69,7 +69,7 @@ class TestEnergyAt:
 
     def test_dominant_term(self):
         p = rank1_pair()
-        assert energy_at(p, TorusElement([-10.0])) == pytest.approx(20.0, abs=1e-6)
+        assert energy_at(p, (-10.0,)) == pytest.approx(20.0, abs=1e-6)
 
     def test_constraint_violation_rejected(self):
         prob = StabilityProblem.special_linear(1)
@@ -83,7 +83,7 @@ class TestEnergyAt:
                              ids=["free", "constrained"])
     def test_non_finite_log_moduli_rejected(self, bad, problem):
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), problem)
-        for s in ([bad, 0.0], [bad, -bad], TorusElement([0.0, bad])):
+        for s in ([bad, 0.0], [bad, -bad], (0.0, bad)):
             with pytest.raises(ValueError, match="non-finite"):
                 energy_at(p, s)
 
@@ -178,7 +178,36 @@ class TestAsymptoticSlope:
             else:
                 u = tuple(rng.randint(-2, 2) for _ in range(rank))
             slope = asymptotic_slope(p, u)
-            assert slope == pytest.approx(futaki_gen(u, p), abs=1e-6)
+            assert slope == pytest.approx(futaki_gen(u, p), abs=1e-12)
+
+    def test_energy_pool_covectors(self, monkeypatch, tmp_path):
+        """On the weighted chord pairs and covectors of the benchmark's
+        `energy` pools (seeds 1-3), E'/2 at t = 1e-8 is the Futaki number up
+        to rounding."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        pool = workloads.Energy()
+        count = 0
+        for seed in (1, 2, 3):
+            for batch in pool.setup(random.Random(seed), str(tmp_path)):
+                for p, _, us in batch:
+                    for u in us:
+                        assert abs(asymptotic_slope(p, u) - futaki_gen(u, p)) <= 1e-12, (p, u)
+                        count += 1
+        assert count == 1296
+
+
+class TestDirectionChecked:
+    @pytest.mark.parametrize("u", [(1, 1), (1,), (1, -1, 0)], ids=["inadmissible", "short", "long"])
+    def test_energy_along_and_slope_refuse(self, u):
+        prob = StabilityProblem.special_linear(1)
+        p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), prob)
+        with pytest.raises(ValueError):
+            energy_along(p, u, 0.5)
+        with pytest.raises(ValueError):
+            asymptotic_slope(p, u)
+        assert energy_along(p, (1, -1), 0.5) == pytest.approx(math.log(1 + 0.5**-4))
 
 
 class TestKempfNessDistance:
