@@ -22,7 +22,7 @@ ternary steps, which pick the basin, and a safeguarded Newton iteration on
 E' finishes it; E' and E'' are the differences of the Gibbs means and
 variances of the slopes (`_Line.derivatives`), so the finish needs no energy
 value.  `energy_along` probes the line along u through the identity once, and
-`asymptotic_slope` is half of its E', from the Gibbs means, at t = 1e-8.
+`asymptotic_slope` is half of its E' where the least pairings weigh e^40 more.
 The pairings with each direction d are exact integers divided once, with
 one rounding, by the common denominator of d (`linalg.integral`); each
 direction is checked admissible once, exactly, instead of the float check
@@ -195,17 +195,24 @@ def energy_along(p: Pair, u: Sequence[int], t: float) -> float:
     return _Line(p, (), _pairings(p, u))(math.log(t))
 
 
-_SLOPE_AT = 1e-8  # the t at which `asymptotic_slope` reads E'
+_SLOPE_MARGIN = 40.0  # log of how far the least pairings outweigh the rest
 
 
 def asymptotic_slope(p: Pair, u: Sequence[int]) -> float:
     """Slope of the energy along u with respect to log t^2 as t -> 0.
 
-    Half of E' at log t on the line of `energy_along`, at t = 1e-8: the
-    difference of the Gibbs means of <u, b> over w and <u, a> over v, which
-    tends to the generalized Futaki number as the least pairings take over.
+    Half of E' on the line of `energy_along`: the difference of the Gibbs
+    means of <u, b> over w and <u, a> over v, which tends to the Futaki
+    number as the least pairings take over.  It is read at log t =
+    -(spread + 40) / gap: spread is the largest spread of the log
+    magnitudes on one side, and distinct slopes differ by at least gap =
+    2 / den (den the denominator of u), so each term off the least pairing
+    of its side weighs at most e^-40 of one on it, whatever the magnitudes.
     """
-    return _Line(p, (), _pairings(p, u)).derivatives(math.log(_SLOPE_AT))[0] / 2
+    line = _Line(p, (), _pairings(p, u))
+    den, _ = integral([u])
+    spread = max(max(side) - min(side) for side in (p.w.log_magnitudes, p.v.log_magnitudes))
+    return line.derivatives(-(spread + _SLOPE_MARGIN) * den / 2)[0] / 2
 
 
 _SWEEPS = 4  # coordinate-descent passes over the quotient basis

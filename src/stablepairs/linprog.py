@@ -21,22 +21,24 @@ and one nonnegativity flag per column, and refuses a nonzero objective or
 a free column with `ValueError` rather than answer a question it does not
 solve.
 
-The loop is phase 1 alone: it maximizes minus the sum of the artificials.
-The reduced costs are one tableau row, updated by each pivot like the
-others, and the Farkas y is read off its artificial entries.  The loop
-stops as soon as the artificials sum to 0, its optimum, and x is the point
-it ends on.  Phase 1 is bounded above by 0, so every entering column has a
-row to leave.  Over a zero right-hand side the artificials start at 0, so
-the loop makes no pivot and x = 0.
+The loop is phase 1 alone: it maximizes minus the sum of the artificials
+over one tableau.  Each row is a (flipped) row of A, its artificial column
+and its right-hand side; the last row holds the reduced costs and, last,
+the sum of b, minus the objective value.  The loop runs while that entry
+is nonzero, and the system is infeasible iff it ends positive: the Farkas
+y is then read off the artificial entries of the last row, and otherwise
+x off the last column.  Phase 1 is bounded above by 0, so every entering
+column has a row to leave; over a zero right-hand side the loop makes no
+pivot and x = 0.
 
-Each pivot is sparse.  The nonzero entries of the pivot row are divided
-and their columns listed once; every other row whose entering-column entry
-is nonzero, and the reduced-cost row, is updated in place on those columns
-only.  A zero entry (most of the artificial block, and the zero
-coordinates of small lattice points) is never touched, and the pivots and
-every entry are those of the dense update.  Bland's entering rule and the
-ratio test check the sign of the numerator: a `Fraction`'s denominator is
-always positive.
+A pivot is one sparse update of every row.  The nonzero entries of the
+pivot row are divided and their columns listed once; every other row
+whose entering-column entry is nonzero, the last row too, is updated in
+place on those columns only, so a zero entry (most of the artificial
+block, the zero coordinates of small lattice points) is never touched.
+Bland's entering rule (over x and the artificials) and the ratio test
+(over the rows of A) check the sign of the numerator: a `Fraction`'s
+denominator is always positive.
 
 Bland's rule visits each basis at most once, so more pivots than there
 are bases (`_max_pivots`) can only come from a defect; the loop then
@@ -90,33 +92,28 @@ def solve_lp(
     if not all(nonneg):
         raise ValueError("only feasibility is decided: every column must be nonnegative")
 
-    # Rows are flipped so b >= 0, each followed by its artificial column;
-    # the flips are undone in the certificate.
+    # Rows flipped so b >= 0, then artificials and b; the certificate unflips.
     m = len(rows)
     tableau: list[list[Fraction]] = []
-    b: list[Fraction] = []
     flips: list[int] = []
     for i, (row, bi_raw) in enumerate(zip(rows, rhs)):
-        r = [Fraction(a) for a in row]
         bi = Fraction(bi_raw)
+        flips.append(-1 if bi < 0 else 1)
+        r = [Fraction(a) for a in row]
         if bi < 0:
             r = [-a for a in r]
-            bi = -bi
-            flips.append(-1)
-        else:
-            flips.append(1)
         r.extend(_ONE if k == i else _ZERO for k in range(m))
+        r.append(abs(bi))
         tableau.append(r)
-        b.append(bi)
     basis = [n + i for i in range(m)]
 
-    # The reduced costs (the column sums on x, 0 on the artificials) are one
-    # tableau row, and z is the running objective value.
+    # The reduced costs: column sums on x, 0 on the artificials, then sum b = -z.
     rc = [sum((r[j] for r in tableau), _ZERO) for j in range(n)] + [_ZERO] * m
-    z = -sum(b, _ZERO)
+    rc.append(sum((r[-1] for r in tableau), _ZERO))
+    tableau.append(rc)
     budget = _max_pivots(n, m)
-    while z:
-        entering = next((j for j, v in enumerate(rc) if v.numerator > 0), -1)
+    while rc[-1]:
+        entering = next((j for j in range(n + m) if rc[j].numerator > 0), -1)
         if entering < 0:
             break
         if not budget:
@@ -124,38 +121,32 @@ def solve_lp(
         budget -= 1
         leave = -1
         best: Fraction | None = None
-        for i, row in enumerate(tableau):
+        for i, row in enumerate(tableau[:m]):
             a = row[entering]
             if a.numerator > 0:
-                ratio = b[i] / a
+                ratio = row[-1] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
-        # The sparse pivot: only the pivot row's nonzero columns change.
+        # The sparse pivot, on every row with a nonzero entering entry.
         prow = tableau[leave]
         piv = prow[entering]
         nz = [j for j, x in enumerate(prow) if x]
         for j in nz:
             prow[j] /= piv
-        bl = b[leave] = b[leave] / piv
         for i, row in enumerate(tableau):
             f = row[entering]
             if f and i != leave:
                 for j in nz:
                     row[j] -= f * prow[j]
-                b[i] -= f * bl
-        f = rc[entering]
-        for j in nz:
-            rc[j] -= f * prow[j]
-        z += f * bl
         basis[leave] = entering
 
-    if z < 0:
+    if rc[-1] > 0:
         # Simplex multipliers off the artificial columns form the
         # certificate: pi_i = -1 - rc_i.
         return LPResult(INFEASIBLE, farkas=[flips[i] * (1 + rc[n + i]) for i in range(m)])
     x = [_ZERO] * n
     for r, v in enumerate(basis):
         if v < n:
-            x[v] = b[r]
+            x[v] = tableau[r][-1]
     return LPResult(OPTIMAL, x=x, objective=_ZERO)

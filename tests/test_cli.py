@@ -500,6 +500,22 @@ class TestEnergyCommand:
         assert payload["futaki_gen"] == -2
         assert abs(payload["slope"] - (-2)) < 1e-6
 
+    @pytest.mark.parametrize("magnitude", ["1e20", "1e400"])
+    def test_slope_with_far_apart_magnitudes(self, capsys, tmp_path, magnitude):
+        # futaki_gen is 0 along (1): the w-term at 1 pairs higher, so the
+        # slope is 0 however heavy that term is.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "rank": 1,
+            "Q": [[-1], [1]],
+            "v": {"support": [[0]]},
+            "w": {"support": [[0], [1]], "magnitudes": ["1", magnitude]},
+        }))
+        code, payload = run(capsys, "energy", str(path), "--ops", "1", "--slope")
+        assert code == 0
+        assert payload["futaki_gen"] == 0
+        assert abs(payload["slope"]) < 1e-15
+
     def test_infimum_flag_on_unstable_pair(self, capsys, unstable_file):
         code, payload = run(capsys, "energy", unstable_file, "--ops", "0,0", "--infimum")
         assert code == 0

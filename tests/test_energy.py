@@ -163,6 +163,15 @@ class TestAsymptoticSlope:
         u = t_semistable(p).witness
         assert asymptotic_slope(p, u) > 0.5
 
+    @pytest.mark.parametrize("magnitude", [10**20, 10**400], ids=["1e20", "1e400"])
+    def test_far_apart_magnitudes(self, magnitude):
+        """A w-term of larger pairing but far larger magnitude still gives
+        way to the term of least pairing: the slope is the Futaki number, 0."""
+        w = WeightedVector({(0,): 1, (1,): magnitude})
+        p = Pair(WeightedVector({(0,): 1}), w, StabilityProblem.free(1, [(-1,), (1,)]))
+        assert futaki_gen((1,), p) == 0
+        assert abs(asymptotic_slope(p, (1,))) < 1e-15
+
     def test_random_instances(self):
         rng = random.Random(888)
         for _ in range(30):
@@ -182,8 +191,8 @@ class TestAsymptoticSlope:
 
     def test_energy_pool_covectors(self, monkeypatch, tmp_path):
         """On the weighted chord pairs and covectors of the benchmark's
-        `energy` pools (seeds 1-3), E'/2 at t = 1e-8 is the Futaki number up
-        to rounding."""
+        `energy` pools (seeds 1-3), E'/2 at the log t worked out from each
+        line is the Futaki number up to rounding."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
         import workloads
 

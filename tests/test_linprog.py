@@ -7,10 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 import stablepairs.linprog
 import stablepairs.polytope
-from stablepairs import Pair, WeightedVector, relative_invariant, stable, t_semistable
+from stablepairs import (
+    Pair,
+    StabilityProblem,
+    WeightedVector,
+    extension_criterion,
+    find_degeneration,
+    relative_invariant,
+    stable,
+    t_semistable,
+)
 from stablepairs.linprog import INFEASIBLE, OPTIMAL, solve_lp
 
-from helpers import random_pair, random_problem, reference_solve_lp
+from helpers import random_pair, random_problem, random_support, reference_solve_lp
 
 
 def _farkas_separates(y, rows, rhs):
@@ -158,14 +167,17 @@ def test_cone_feasibility_matches_reference_exactly(lp):
 
 def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
     """Every LP that `t_semistable`, `stable` and `relative_invariant` pose
-    on seeded acceptance-style pairs of ranks 1-4 solves as the reference
-    does, field for field."""
+    on seeded acceptance-style pairs of ranks 1-4, that `interior_contains`
+    poses on reference polytopes whose centroid is not 0, and that
+    `find_degeneration` and `extension_criterion` pose on random supports,
+    solves as the reference does, field for field."""
     posed = []
+    caller = ["verdicts"]
     real = stablepairs.polytope.solve_lp
 
     def recording(*args):
         res = real(*args)
-        posed.append((args, res))
+        posed.append((caller[0], args, res))
         return res
 
     monkeypatch.setattr(stablepairs.polytope, "solve_lp", recording)
@@ -182,9 +194,30 @@ def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
         stable(p, 4)
         if verdict.semistable:
             relative_invariant(p, rng.choice(p.v.support.points))
+    for rank in (1, 2, 3, 4):
+        problem = random_problem(rng, rank)
+        for _ in range(10):
+            caller[0] = "interior_contains"
+            q = {tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank + 3)}
+            try:
+                StabilityProblem(rank, problem.constraints, q)
+            except ValueError:
+                pass  # 0 is not interior, or q is not full-dimensional
+            A = random_support(rng, rank, max_points=7, lo=-3, hi=3).points
+            if len(A) < 2:
+                continue
+            B = rng.sample(A, rng.randint(1, len(A) - 1))
+            caller[0] = "find_degeneration"
+            find_degeneration(A, B, problem.ctx)
+            caller[0] = "extension_criterion"
+            extension_criterion(A, B, problem.ctx)
+    # Each caller posed at least one LP of each outcome.
+    callers = ("verdicts", "interior_contains", "find_degeneration", "extension_criterion")
+    assert {(name, res.status) for name, _, res in posed} == {
+        (name, status) for name in callers for status in (OPTIMAL, INFEASIBLE)
+    }
     assert len(posed) >= 400
-    assert {res.status for _, res in posed} == {OPTIMAL, INFEASIBLE}
-    for args, res in posed:
+    for _, args, res in posed:
         assert res == reference_solve_lp(*args)
 
 

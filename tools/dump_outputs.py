@@ -7,12 +7,18 @@ changed) against the package under `src/` of this checkout, and writes the
 `repr` of each operation's output to OUT: `verdicts`, `cli_mix` and `energy`
 for seeds 1-3, with `certificate_normals` of each `energy` pair, and
 `exponent` for seed 1.  Verdicts, certificates, CLI stdout and exit codes,
-and float reprs of slopes and estimates all appear, so two checkouts that
-compute the same outputs give equal files:
+and float reprs of slopes and estimates all appear, and so do the convex
+weights of each `verdicts` verdict (`Verdict.weights`, which its `repr`
+leaves out), so two checkouts that compute the same outputs give equal
+files:
 
     python3 tools/dump_outputs.py before.txt   # in the old checkout
     python3 tools/dump_outputs.py after.txt    # in the new one
     cmp before.txt after.txt
+
+The file depends on this tool as well as on `src/`, so a "before" file
+must come from this version of the tool run against the old `src/`: copy
+the tool into the old checkout first.
 """
 
 from __future__ import annotations
@@ -39,8 +45,12 @@ def dump(out) -> int:
         with tempfile.TemporaryDirectory() as workdir:
             for batch in workload.setup(random.Random(seed), workdir):
                 for item in batch:
-                    out.write(f"{name} {seed} {workload.run(item)!r}\n")
+                    result = workload.run(item)
+                    out.write(f"{name} {seed} {result!r}\n")
                     lines += 1
+                    if name == "verdicts":
+                        out.write(f"{name} {seed} weights {result[0].weights!r}\n")
+                        lines += 1
                     if name == "energy":
                         p = item[0]
                         normals = sp.certificate_normals(p.w.support, p.problem.ctx)
