@@ -223,17 +223,19 @@ def reference_line(p: Pair, shift: Iterable[tuple[float, _Sides]], along: _Sides
 
 def _o_moments(terms, t: float) -> tuple[float, float]:
     # Mean and variance of the slopes under the weights exp(b + t k), the
-    # exponentials shifted by their largest exponent and summed in order.
+    # exponentials shifted by their largest exponent and summed in order,
+    # over the slopes less the least one, which is added back to the mean.
+    k0 = min(k for _, k in terms)
     xs = [b + t * k for b, k in terms]
     m = max(xs)
     s0 = s1 = s2 = 0.0
     for x, (_, k) in zip(xs, terms):
         e = math.exp(x - m)
         s0 += e
-        s1 += e * k
-        s2 += e * k * k
+        s1 += e * (k - k0)
+        s2 += e * (k - k0) * (k - k0)
     mean = s1 / s0
-    return mean, s2 / s0 - mean * mean
+    return k0 + mean, s2 / s0 - mean * mean
 
 
 def reference_newton(p: Pair, shift, along: _Sides, lo: float, hi: float) -> float:
@@ -291,10 +293,11 @@ def _rays(p: Pair, normals, best: float) -> float:
 def reference_infimum_estimate(p: Pair) -> float:
     """The search of `energy.infimum_estimate` with every ray probe made:
     4 coordinate-descent sweeps over the quotient basis, each line searched
-    by 8 ternary steps in a bracket of half-width 8 and finished by
+    in a bracket of half-width 8 around its coefficient and finished by
     `reference_newton`, then both signs of six distances along every
-    certificate normal, each probe through `reference_line`.  The
-    float-identity oracle for the estimate, whose ray probes are pruned."""
+    certificate normal, each probe through `reference_line`.  8 ternary
+    steps narrow the bracket first in sweep 1 only.  The float-identity
+    oracle for the estimate, whose ray probes are pruned."""
     normals = certificate_normals(p.w.support, p.problem.ctx)
     if any(futaki_gen(u, p) > 0 for u in normals):
         return -math.inf
@@ -304,18 +307,19 @@ def reference_infimum_estimate(p: Pair) -> float:
     if not basis:
         return best
     coeffs = [0.0] * len(basis)
-    for _ in range(4):
+    for sweep in range(4):
         for k, along in enumerate(basis):
             shift = [(c, e) for j, (c, e) in enumerate(zip(coeffs, basis)) if j != k]
             energy = reference_line(p, shift, along)
             lo, hi = coeffs[k] - 8.0, coeffs[k] + 8.0
-            for _ in range(8):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if energy(m1) <= energy(m2):
-                    hi = m2
-                else:
-                    lo = m1
+            if sweep == 0:
+                for _ in range(8):
+                    m1 = lo + (hi - lo) / 3
+                    m2 = hi - (hi - lo) / 3
+                    if energy(m1) <= energy(m2):
+                        hi = m2
+                    else:
+                        lo = m1
             coeffs[k] = reference_newton(p, shift, along, lo, hi)
             best = min(best, energy(coeffs[k]))
     return _rays(p, normals, best)

@@ -202,7 +202,7 @@ class TestAsymptoticSlope:
             for batch in pool.setup(random.Random(seed), str(tmp_path)):
                 for p, _, us in batch:
                     for u in us:
-                        assert abs(asymptotic_slope(p, u) - futaki_gen(u, p)) <= 1e-12, (p, u)
+                        assert abs(asymptotic_slope(p, u) - futaki_gen(u, p)) <= 1e-15, (p, u)
                         count += 1
         assert count == 1296
 
@@ -590,6 +590,95 @@ def test_ternary_steps_keep_the_basin(monkeypatch, name):
         assert infimum_estimate(p) > expected + 0.1, steps
 
 
+# The seven pairs of the `energy` benchmark pools (seeds 1-9) whose estimate
+# moved by more than 1e-9 when ternary steps were left out of sweeps 2-4,
+# with the estimate the search reaches now and the one ternary steps in
+# every sweep reached.  On five of them a later ternary pick jumped to a
+# lower basin (seed 4, item 35: 0.313 lower); on the other two the search
+# now ends lower.  The test bounds that accepted loss: a change to the
+# search may lower these estimates, but raising one fails.
+PINNED_ONE_PICK = {
+    "seed_1_item_53": (
+        4, [(1, 1, 1, 1)],
+        {(-1, 0, 0, 2): Fraction(3), (0, 2, -1, -1): Fraction(7, 4),
+         (2, -2, -2, -1): Fraction(5, 2)},
+        {(-1, -1, 0, 1): Fraction(9, 4), (-1, 0, 1, -2): Fraction(9, 4),
+         (-1, 1, 0, 3): Fraction(4), (1, -2, -2, 0): Fraction(5, 4), (1, 4, -3, 0): Fraction(3),
+         (2, -1, 0, -3): Fraction(5, 4), (2, 0, 0, -1): Fraction(13, 4),
+         (3, -3, 3, -2): Fraction(1, 2), (3, -2, -2, -2): Fraction(3, 4),
+         (3, -1, 0, 3): Fraction(9, 4)},
+        0.9461003420471208, 0.8271612777966721,
+    ),
+    "seed_4_item_35": (
+        3, [],
+        {(-2, 1, -2): Fraction(1), (-1, 2, 1): Fraction(1, 2)},
+        {(-4, 0, -1): Fraction(3, 4), (-3, -1, 0): Fraction(11, 4), (-2, 1, 1): Fraction(1, 2),
+         (0, 2, -3): Fraction(9, 4), (0, 3, 1): Fraction(3, 2), (2, 3, -2): Fraction(11, 4),
+         (2, 3, 2): Fraction(1, 4), (3, 2, -2): Fraction(15, 4)},
+        1.4834599231682546, 1.1703336583263413,
+    ),
+    "seed_5_item_12": (
+        4, [],
+        {(-2, -1, -1, 2): Fraction(13, 4), (1, -2, -2, 0): Fraction(5, 4),
+         (1, -1, 2, -1): Fraction(1, 4), (1, 1, 0, -2): Fraction(5, 2)},
+        {(-4, -1, -3, 0): Fraction(15, 4), (-1, -1, -4, 2): Fraction(2),
+         (-1, 1, -1, -3): Fraction(1), (0, -1, 1, 4): Fraction(5, 4), (0, 1, 0, 0): Fraction(5, 2),
+         (2, -3, 4, -2): Fraction(4), (3, -3, 0, -2): Fraction(3, 4),
+         (3, 1, 1, -1): Fraction(9, 4)},
+        0.23861232405808064, 0.2385518951681469,
+    ),
+    "seed_5_item_17": (
+        4, [(1, 1, 1, 1)],
+        {(-1, 1, -2, -2): Fraction(3, 2), (2, -2, 1, -1): Fraction(3, 4),
+         (2, -1, 0, -2): Fraction(15, 4), (2, 2, 1, -1): Fraction(1, 2)},
+        {(-3, 0, -1, -3): Fraction(7, 4), (-1, 0, 0, -3): Fraction(13, 4),
+         (0, -4, 2, -1): Fraction(1), (0, 1, -1, -4): Fraction(5, 2), (1, -1, 2, 1): Fraction(3),
+         (1, 0, 0, -1): Fraction(7, 2), (1, 2, -3, -1): Fraction(5, 4),
+         (1, 2, 3, -3): Fraction(15, 4), (2, -3, -1, 1): Fraction(3),
+         (3, 2, -1, 1): Fraction(3, 4), (4, -3, 1, 0): Fraction(4), (4, 0, 0, -1): Fraction(1, 4)},
+        0.9312920785715351, 0.7583587989085867,
+    ),
+    "seed_5_item_102": (
+        4, [(1, 1, 1, 1)],
+        {(-2, -2, 0, 0): Fraction(3, 2), (0, -2, -2, -2): Fraction(5, 2),
+         (0, 1, 0, 2): Fraction(5, 2), (2, 1, 2, -2): Fraction(15, 4)},
+        {(-3, -2, 1, 0): Fraction(7, 4), (-1, -3, -3, 0): Fraction(3),
+         (-1, -2, -1, 0): Fraction(5, 2), (-1, 0, 2, 3): Fraction(3, 2),
+         (1, -1, -1, -4): Fraction(15, 4), (1, -1, 1, -4): Fraction(1, 4),
+         (1, 2, -2, 1): Fraction(5, 4), (2, 0, 3, -3): Fraction(15, 4), (3, 3, -2, 3): Fraction(1),
+         (3, 3, 3, 0): Fraction(3, 4)},
+        0.40546510810816017, 0.36735303600210756,
+    ),
+    "seed_6_item_109": (
+        4, [],
+        {(1, 0, -1, -2): Fraction(1, 2), (1, 0, 0, -1): Fraction(3, 2),
+         (2, -2, 0, 1): Fraction(1, 2)},
+        {(-1, -1, 0, -4): Fraction(1, 2), (-1, 1, 0, 1): Fraction(5, 2),
+         (1, 0, -2, 1): Fraction(3, 4), (1, 0, 1, -3): Fraction(3), (2, -2, 1, -1): Fraction(3, 2),
+         (3, -4, 2, 1): Fraction(11, 4), (3, -1, 0, -3): Fraction(3, 2),
+         (3, 1, -2, 0): Fraction(15, 4)},
+        1.681053591848173, 1.6958520863983604,
+    ),
+    "seed_9_item_17": (
+        4, [(1, 1, 1, 1)],
+        {(-2, 0, -2, 0): Fraction(11, 4)},
+        {(-4, -2, -4, -1): Fraction(13, 4), (-3, -3, 3, -1): Fraction(2),
+         (-3, -1, -3, -3): Fraction(13, 4), (-2, -3, -2, -2): Fraction(3, 4),
+         (-2, 0, -3, 3): Fraction(1, 4), (0, -1, 0, -3): Fraction(1),
+         (0, 2, 0, 1): Fraction(13, 4), (1, -3, -2, 1): Fraction(3, 2), (1, -1, 2, 2): Fraction(1),
+         (1, 2, -2, 1): Fraction(1), (1, 2, 2, -3): Fraction(3, 2), (2, 1, -3, 0): Fraction(3, 4)},
+        1.1266796008704034, 1.1266796612102894,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ONE_PICK))
+def test_basin_picked_once_costs_no_more_than_pinned(name):
+    rank, constraints, v, w, now, _ = PINNED_ONE_PICK[name]
+    p = Pair(WeightedVector(v), WeightedVector(w), StabilityProblem(rank, constraints))
+    assert infimum_estimate(p) <= now + 1e-9
+
+
 def _lower_dimensional_pairs(seed: int, count: int) -> list[Pair]:
     """Weighted pairs of ranks 2-4 whose w-support lies on a line or a plane,
     v a subset of it, under free and trace-zero problems."""
@@ -674,8 +763,8 @@ class TestInfimumEstimateIsTheReferenceSearch:
 
     def test_fewer_ray_probes_than_the_reference(self, monkeypatch):
         """A machine-independent count: every probe that is not one of the
-        4 sweeps of (2 * 8 + 1)-probe line searches is a ray probe; the
-        reference makes 12 per certificate normal."""
+        line searches' (`_sweep_probes`) is a ray probe; the reference makes
+        12 per certificate normal."""
         probes = []
         real = stablepairs.energy._Line.__call__
         monkeypatch.setattr(stablepairs.energy._Line, "__call__",
@@ -684,16 +773,48 @@ class TestInfimumEstimateIsTheReferenceSearch:
         for p in semistable_pairs(32, 48):
             probes.clear()
             assert math.isfinite(infimum_estimate(p))
-            directions = len(p.problem.ctx.covectors(p.problem.rank))
-            made += len(probes) - 4 * directions * (2 * 8 + 1)
+            made += len(probes) - sum(map(sum, _sweep_probes(p)))
             reference += 12 * len(certificate_normals(p.w.support, p.problem.ctx))
         assert 0 < made < reference
 
 
+def _sweep_probes(p: Pair) -> list[list[int]]:
+    """Probes per line search, per sweep, then per quotient direction: 2 * 8
+    + 1 in sweep 1, one in each later sweep."""
+    directions = len(p.problem.ctx.covectors(p.problem.rank))
+    return [[1 if sweep else 2 * 8 + 1] * directions for sweep in range(4)]
+
+
+class TestBasinPickedOnce:
+    def test_probes_per_line_search(self, monkeypatch):
+        """An exact, machine-independent count of the probes each line
+        search makes (`_sweep_probes`): 17 + 3 = 20 per direction over the
+        4 sweeps, where ternary steps in every sweep made 68."""
+        probes, searched = [], []  # the line of each probe; of each Newton finish
+        energy = stablepairs.energy
+        real_call, real_newton = energy._Line.__call__, energy._Line.newton
+        monkeypatch.setattr(energy._Line, "__call__",
+                            lambda line, t: probes.append(line) or real_call(line, t))
+        monkeypatch.setattr(energy._Line, "newton",
+                            lambda line, lo, hi: searched.append(line) or real_newton(line, lo, hi))
+        searches = 0
+        for p in semistable_pairs(32, 48):
+            probes.clear()
+            searched.clear()
+            assert math.isfinite(infimum_estimate(p))
+            expected = [n for sweep in _sweep_probes(p) for n in sweep]
+            assert [sum(q is line for q in probes) for line in searched] == expected
+            assert sum(expected) == 20 * len(expected) // 4
+            searches += len(expected)
+        assert searches >= 100
+
+
 class TestNewtonFinish:
     def test_never_above_the_ternary_search(self):
-        """The 8 ternary steps and the Newton finish end no higher than the
-        frozen 40-step search, up to its own 1.4e-6 bracket."""
+        """On the seeded search pairs, the search ends no higher than the
+        frozen 40-step search, up to its own 1.4e-6 bracket.  Not on every
+        pair: on five `energy` pool pairs it ends up to 0.313 higher, because
+        only sweep 1 picks basins (`PINNED_ONE_PICK`)."""
         for p in _seeded_search_pairs():
             assert infimum_estimate(p) <= ternary_infimum_estimate(p) + 1e-5, p
 
@@ -703,10 +824,10 @@ class TestNewtonFinish:
         calls = lines = 0
         moments, newton = stablepairs.energy._moments, stablepairs.energy._Line.newton
 
-        def counting_moments(terms, t):
+        def counting_moments(terms, k0, t):
             nonlocal calls
             calls += 1
-            return moments(terms, t)
+            return moments(terms, k0, t)
 
         def counting_newton(line, lo, hi):
             nonlocal lines

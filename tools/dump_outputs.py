@@ -16,6 +16,9 @@ files:
     python3 tools/dump_outputs.py after.txt    # in the new one
     cmp before.txt after.txt
 
+and where floats may differ, `python3 tools/diff_outputs.py before.txt
+after.txt` compares them by value and everything else exactly.
+
 The file depends on this tool as well as on `src/`, so a "before" file
 must come from this version of the tool run against the old `src/`: copy
 the tool into the old checkout first.
