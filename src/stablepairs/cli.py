@@ -331,19 +331,21 @@ def cmd_energy(args) -> int:
     if args.infimum:
         _require_bounded_hull(pair, "w", pair.w.support)
     u = _parse_covector(args.ops, pair.problem.rank)
-    if not is_admissible(u, pair.problem.constraints):
-        raise InputError(f"covector {u} violates the problem constraints")
+    try:
+        line = energy._SubgroupLine(pair, u)  # the one check of u, and its one pairing
+    except ValueError:
+        raise InputError(f"covector {u} violates the problem constraints") from None
     payload: dict[str, Any] = {
         "u": list(u),
         "energy_at_identity": energy.energy_at(pair, [0.0] * pair.problem.rank),
-        "futaki_gen": futaki_gen(u, pair),
+        "futaki_gen": line.futaki,
     }
     if args.at_t is not None:
         if not 0.0 < args.at_t <= 1.0:
             raise InputError("--at-t must lie in (0, 1]")
-        payload["energy_at_t"] = energy.energy_along(pair, u, args.at_t)
+        payload["energy_at_t"] = line.energy(args.at_t)
     if args.slope:
-        payload["slope"] = energy.asymptotic_slope(pair, u)
+        payload["slope"] = line.slope()
     if args.infimum:
         est = energy.infimum_estimate(pair)
         payload["infimum_estimate"] = "-inf" if est == float("-inf") else est

@@ -86,4 +86,4 @@ def clear_denominators(g: Sequence[Scalar]) -> OnePS:
     if not any(ints):
         raise ValueError("cannot clear denominators of the zero functional")
     g0 = gcd(*ints)
-    return tuple(c // g0 for c in ints)
+    return tuple([c // g0 for c in ints])

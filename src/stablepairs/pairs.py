@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf, log
+from operator import mul
 from sys import float_info
 from typing import Iterable, Mapping, Sequence
 
@@ -442,8 +443,23 @@ def futaki_gen(u: Sequence[int], p: Pair) -> int:
     semistable; u destabilizes exactly when it is positive, and that test
     is the one way the package writes "u destabilizes".
     """
+    return _futaki_pairings(u, p)[0]
+
+
+def _futaki_pairings(u: Sequence[int], p: Pair) -> tuple[int, list[int], list[int]]:
+    """`futaki_gen` of u, and the exact pairings <u, .> with the w- and the
+    v-support points that it is the difference of the minima of.
+
+    The one pass over both supports for a covector, where it is checked
+    admissible; the energy's lines along u round the same pairings to
+    their slopes.
+    """
+    if len(u) != p.problem.rank:
+        raise ValueError(f"length mismatch: {len(u)} vs {p.problem.rank}")
     require_admissible(u, p.problem.constraints)
-    return min_functional(p.w.support, u) - min_functional(p.v.support, u)
+    xw = [sum(map(mul, u, b)) for b in p.w.support.points]
+    xv = [sum(map(mul, u, a)) for a in p.v.support.points]
+    return min(xw) - min(xv), xw, xv
 
 
 def relative_invariant(

@@ -17,7 +17,14 @@ import stablepairs.energy
 import stablepairs.linprog
 import stablepairs.pairs
 import stablepairs.polytope
-from stablepairs import Pair, StabilityProblem, WeightedVector
+from stablepairs import (
+    Pair,
+    StabilityProblem,
+    WeightedVector,
+    asymptotic_slope,
+    energy_along,
+    futaki_gen,
+)
 from stablepairs.cli import (
     MAX_MAGNITUDE_DIGITS,
     MAX_ORACLE_DEGREE,
@@ -500,6 +507,32 @@ class TestEnergyCommand:
         assert payload["futaki_gen"] == -2
         assert abs(payload["slope"] - (-2)) < 1e-6
 
+    def test_covector_checked_and_paired_once(self, capsys, monkeypatch, semistable_file):
+        """`energy --at-t T --slope` checks and pairs u in one exact pass
+        and builds one line for both answers, which are those of
+        `futaki_gen`, `energy_along` and `asymptotic_slope`."""
+        passes, lines = [], []
+        real_pass, real_line = stablepairs.pairs._futaki_pairings, stablepairs.energy._Line.__init__
+
+        def counted_pass(u, p):
+            passes.append(tuple(u))
+            return real_pass(u, p)
+
+        for module in (stablepairs.pairs, stablepairs.energy):
+            monkeypatch.setattr(module, "_futaki_pairings", counted_pass)
+        monkeypatch.setattr(stablepairs.cli, "is_admissible", None)  # not called
+        monkeypatch.setattr(stablepairs.energy._Line, "__init__",
+                            lambda line, *args: lines.append(line) or real_line(line, *args))
+        code, payload = run(capsys, "energy", semistable_file, "--ops", "1,-1", "--at-t", "0.5",
+                            "--slope")
+        assert code == 0
+        assert passes == [(1, -1)] and len(lines) == 1
+        monkeypatch.undo()
+        pair = stablepairs.cli.load_pair(semistable_file)
+        assert payload["futaki_gen"] == futaki_gen((1, -1), pair) == -2
+        assert payload["energy_at_t"] == energy_along(pair, (1, -1), 0.5)
+        assert payload["slope"] == asymptotic_slope(pair, (1, -1))
+
     @pytest.mark.parametrize("magnitude", ["1e20", "1e400"])
     def test_slope_with_far_apart_magnitudes(self, capsys, tmp_path, magnitude):
         # futaki_gen is 0 along (1): the w-term at 1 pairs higher, so the
@@ -515,6 +548,23 @@ class TestEnergyCommand:
         assert code == 0
         assert payload["futaki_gen"] == 0
         assert abs(payload["slope"]) < 1e-15
+
+    def test_futaki_of_a_covector_beyond_the_float_range(self, capsys, tmp_path):
+        # The pairings of u are exact integers; they are rounded to floats
+        # only for --at-t or --slope, so without them a pairing above 1e308
+        # still gives the exact futaki_gen.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "rank": 1,
+            "Q": [[-1], [1]],
+            "v": {"support": [[0]]},
+            "w": {"support": [[0], [1]]},
+        }))
+        u = -10**310
+        code, payload = run(capsys, "energy", str(path), "--ops", str(u))
+        assert code == 0
+        assert payload["u"] == [u] and payload["futaki_gen"] == u
+        assert "energy_at_t" not in payload and "slope" not in payload
 
     def test_infimum_flag_on_unstable_pair(self, capsys, unstable_file):
         code, payload = run(capsys, "energy", unstable_file, "--ops", "0,0", "--infimum")

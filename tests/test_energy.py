@@ -3,8 +3,10 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stablepairs.energy
 import stablepairs.linprog
@@ -764,11 +766,17 @@ class TestInfimumEstimateIsTheReferenceSearch:
     def test_fewer_ray_probes_than_the_reference(self, monkeypatch):
         """A machine-independent count: every probe that is not one of the
         line searches' (`_sweep_probes`) is a ray probe; the reference makes
-        12 per certificate normal."""
-        probes = []
-        real = stablepairs.energy._Line.__call__
-        monkeypatch.setattr(stablepairs.energy._Line, "__call__",
-                            lambda line, t: probes.append(t) or real(line, t))
+        12 per certificate normal.  The probes made are the 1 263 that an
+        exact floor on every check let through, and fewer than half of the
+        12 floor checks per normal compute the exact floor
+        (`_exact_floor`): the O(1) bounds of `_extents` settle the rest."""
+        probes, floors = [], []
+        energy = stablepairs.energy
+        real_call, real_floor = energy._Line.__call__, energy._exact_floor
+        monkeypatch.setattr(energy._Line, "__call__",
+                            lambda line, t: probes.append(t) or real_call(line, t))
+        monkeypatch.setattr(energy, "_exact_floor",
+                            lambda *args: floors.append(args) or real_floor(*args))
         made = reference = 0
         for p in semistable_pairs(32, 48):
             probes.clear()
@@ -776,6 +784,45 @@ class TestInfimumEstimateIsTheReferenceSearch:
             made += len(probes) - sum(map(sum, _sweep_probes(p)))
             reference += 12 * len(certificate_normals(p.w.support, p.problem.ctx))
         assert 0 < made < reference
+        assert made == 1263
+        assert 0 < len(floors) < reference / 2
+
+
+# One side of a random line through the identity: (log magnitude, slope)
+# per support point, the slopes 2<u, a> / den as `_slopes` rounds them.
+_line_sides = st.lists(
+    st.tuples(st.floats(-1000, 1000), st.integers(-40, 40), st.integers(1, 6)).map(
+        lambda bxd: (bxd[0], 2 * bxd[1] / bxd[2])),
+    min_size=1, max_size=16)
+
+
+class TestRayFloor:
+    @settings(max_examples=200, deadline=None)
+    @given(w=_line_sides, v=_line_sides)
+    def test_bounds_hold_at_every_ray_probe(self, w, v):
+        """At both signs of the six distances, `_extents` bounds the largest
+        exponent b + t k of each side, lo <= m <= hi and |m| <= size, and
+        the two floors `infimum_estimate` reads off them (`_floor`) hold the
+        exact one (`_exact_floor`) between them."""
+        energy = stablepairs.energy
+        (lw, kw), (lv, kv) = zip(*w), zip(*v)
+        lw, kw, lv, kv = list(lw), list(kw), list(lv), list(kv)
+        p = SimpleNamespace(w=SimpleNamespace(log_magnitudes=lw),
+                            v=SimpleNamespace(log_magnitudes=lv))  # all `_exact_floor` reads
+        slack = math.log(len(lv))
+        extents = [energy._extents(bases, slopes, energy._RAY_TS)
+                   for bases, slopes in ((lw, kw), (lv, kv))]
+        assert len(energy._RAY_TS) == 12
+        for i, t in enumerate(energy._RAY_TS):
+            (w_lo, w_hi, w_size), (v_lo, v_hi, v_size) = extents[0][i], extents[1][i]
+            mw = max([b + t * k for b, k in zip(lw, kw)])
+            mv = max([b + t * k for b, k in zip(lv, kv)])
+            assert w_lo <= mw <= w_hi and abs(mw) <= w_size
+            assert v_lo <= mv <= v_hi and abs(mv) <= v_size
+            exact = energy._exact_floor(p, (kw, kv), t, slack)
+            assert exact == energy._floor(mw, mv, abs(mw), abs(mv), slack)
+            assert energy._floor(w_lo, v_hi, w_size, v_size, slack) <= exact
+            assert exact <= energy._floor(w_hi, v_lo, 0.0, 0.0, slack)
 
 
 def _sweep_probes(p: Pair) -> list[list[int]]:

@@ -76,6 +76,22 @@ def test_clear_denominators_parallel_and_primitive(g):
     assert all(ui == 0 for ui, gi in zip(u, g) if gi == 0)
 
 
+@given(st.lists(integers, min_size=1, max_size=5))
+def test_clear_denominators_int_path_is_the_fraction_path(g):
+    """All-int entries, which `integral` passes through unscaled, answer as
+    the same values given as `Fraction`s do, with a tuple, and the zero
+    functional is still refused."""
+    as_fractions = [Fraction(c) for c in g]
+    if not any(g):
+        for h in (g, tuple(g), as_fractions):
+            with pytest.raises(ValueError):
+                clear_denominators(h)
+        return
+    u = clear_denominators(g)
+    assert type(u) is tuple and all(type(c) is int for c in u)
+    assert u == clear_denominators(tuple(g)) == clear_denominators(as_fractions)
+
+
 def test_lattice_point_rejects_non_integers():
     assert lattice_point((Fraction(4, 2), 1)) == (2, 1)
     with pytest.raises(ValueError):
