@@ -24,15 +24,15 @@ Gibbs means and variances of the slopes (`_Line.derivatives`), so the
 finish needs no energy value.  `energy_along` probes the line along u
 through the identity once, and `asymptotic_slope` is half of its E' where
 the least pairings weigh e^40 more.
-The pairings with each direction d are exact integers divided once, with
-one rounding, by the common denominator of d (`linalg.integral`), taken in
-the exact pass of `futaki_gen`, which checks d admissible once, exactly,
-instead of the float check `energy_at` makes on every torus element; a
-normal or a covector (`_SubgroupLine`) gets its Futaki number and its line
-from one pass.  Floating-point work goes to the line searches: the normals
-are enumerated in integers, and a ray probe runs only when a floor of the
-energy it would compute lies below the current estimate, a floor first
-priced in O(1) (`_extents`) and computed in full only when that is needed.
+Each direction d takes one exact pass, that of `futaki_gen`, which checks
+d admissible exactly, instead of the float check `energy_at` makes on
+every torus element: the normals in the scan `stable` shares
+(`_scan_normals`), a basis vector or a covector in `_SubgroupLine`, whose
+`sides` divide the doubled integer pairings of den d by den, den the common
+denominator of d, with one rounding.  Floating-point work goes to the line
+searches: a ray probe runs only when a floor of the energy it would
+compute lies below the current estimate, a floor first priced in O(1)
+(`_extents`) and computed in full only when that is needed.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from typing import Iterable, Sequence
 
 from .lattice import Scalar
 from .linalg import integral
-from .pairs import Pair, WeightedVector, _futaki_pairings
-from .polytope import certificate_normals
+from .pairs import Pair, WeightedVector, _futaki_pairings, _scan_normals
 
 _CONSTRAINT_TOL = 1e-9
 
@@ -82,18 +81,6 @@ def _log_norm_sq(vec: WeightedVector, s: Sequence[float]) -> float:
 
 # Per side (w, then v), one float per support point.
 _Sides = tuple[list[float], list[float]]
-
-
-def _pairings(p: Pair, d: Sequence[Scalar]) -> _Sides:
-    """2<d, a> for the support points a of w and of v, exact, then rounded once.
-
-    The pairings are integer ones of den * d (`linalg.integral`), from the
-    exact pass of `futaki_gen`, where d is checked, once: its length
-    against the rank, and exactly against the constraints.
-    """
-    den, (num,) = integral([d])
-    _, xw, xv = _futaki_pairings(num, p)
-    return _slopes(den, xw, xv)
 
 
 def _slopes(den: int, xw: list[int], xv: list[int]) -> _Sides:
@@ -198,13 +185,13 @@ _SLOPE_MARGIN = 40.0  # log of how far the least pairings outweigh the rest
 class _SubgroupLine:
     """The energy along the one-parameter subgroup of u, set up once.
 
-    One exact pass, the one of `futaki_gen`, checks u and pairs it with the
-    supports.  `futaki` is read off it: the Futaki number of den u, den the
-    common denominator of u, so of u itself for an int covector.  The line
-    through the identity along u, which `energy` (`energy_along`) and
-    `slope` (`asymptotic_slope`) probe, is rounded from the same pairings
-    on first use, so a pairing beyond the float range fails only a request
-    for a float.
+    One exact pass, the one of `futaki_gen`, checks u and pairs den u with
+    the supports, den the common denominator of u.  `futaki` is read off it:
+    the Futaki number of den u, so of u itself for an int covector.  `sides`
+    rounds the pairings to floats, and the line through the identity along
+    u, which `energy` (`energy_along`) and `slope` (`asymptotic_slope`)
+    probe, is built from them on first use, so a pairing beyond the float
+    range fails only a request for a float.
     """
 
     __slots__ = ("futaki", "_p", "_den", "_xs", "_line")
@@ -214,9 +201,13 @@ class _SubgroupLine:
         self.futaki, xw, xv = _futaki_pairings(num, p)
         self._p, self._den, self._xs, self._line = p, den, (xw, xv), None
 
+    def sides(self) -> _Sides:
+        """2<u, a> for the support points a of w and of v, rounded once."""
+        return _slopes(self._den, *self._xs)
+
     def _along(self) -> _Line:
         if self._line is None:
-            self._line = _Line(self._p, (), _slopes(self._den, *self._xs))
+            self._line = _Line(self._p, (), self.sides())
         return self._line
 
     def energy(self, t: float) -> float:
@@ -271,11 +262,11 @@ def infimum_estimate(p: Pair) -> float:
 
     The unbounded case is decided exactly: the energy is unbounded below
     iff the pair is torus-unstable, iff some certificate normal of the
-    w-polytope destabilizes, `futaki_gen` > 0 (so an unstable pair
-    pays for a facet enumeration).  Otherwise the estimate starts from the
-    energy at the identity; coordinate descent over the quotient basis of
-    the problem, refined by ray probes along the same normals, lowers it to
-    a finite upper bound.  Every probe lies on a line s0 + t d whose
+    w-polytope destabilizes, `futaki_gen` > 0, in the scan of `stable` (so
+    an unstable pair pays for a facet enumeration).  Otherwise the estimate
+    starts from the energy at the identity; coordinate descent over the
+    quotient basis of the problem, refined by ray probes along the same
+    normals, lowers it to a finite upper bound.  Every probe lies on a line s0 + t d whose
     pairings are set up once (see the module docstring), and every
     direction d, a basis vector or a normal, is checked admissible exactly.
 
@@ -300,17 +291,15 @@ def infimum_estimate(p: Pair) -> float:
     is the floor computed over every term (`_exact_floor`).  The bounds
     settle 63 908 of the 66 384 checks on the 456 pairs of the `energy`
     benchmark pools of seeds 1-3.  Each normal is paired with both supports
-    once, in integers: its Futaki number and its ray slopes come from there.
+    once, in integers, in the scan: its Futaki number and ray slopes too.
     """
-    rays = []
-    for u in certificate_normals(p.w.support, p.problem.ctx):
-        futaki, xw, xv = _futaki_pairings(u, p)
-        if futaki > 0:
-            return -math.inf
-        rays.append(_slopes(1, xw, xv))
+    witness, passes = _scan_normals(p)
+    if witness is not None:
+        return -math.inf
+    rays = [_slopes(1, xw, xv) for _, _, xw, xv in passes]
     rank = p.problem.rank
     best = energy_at(p, [0.0] * rank)
-    basis = [_pairings(p, e) for e in p.problem.ctx.covectors(rank)]
+    basis = [_SubgroupLine(p, e).sides() for e in p.problem.ctx.covectors(rank)]
     if not basis:
         return best
     coeffs = [0.0] * len(basis)

@@ -12,10 +12,11 @@ flat, cleared to a primitive integer covector.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .lattice import OnePS, clear_denominators, dot
+from .lattice import OnePS, clear_denominators
 from .polytope import (
     NO_CONTEXT,
     ContainmentContext,
@@ -23,7 +24,6 @@ from .polytope import (
     _as_pointset,
     _check_dims,
     hull_contains,
-    min_functional,
     separating_functional,
 )
 
@@ -98,5 +98,8 @@ def limit_support(
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
-    lo = min_functional(A, u)
-    return PointSet(p for p in A.points if dot(u, p) == lo)
+    if len(u) != A.dim:
+        raise ValueError(f"length mismatch: {len(u)} vs {A.dim}")
+    xs = [sum(map(mul, u, p)) for p in A.points]
+    lo = min(xs)
+    return PointSet(p for p, x in zip(A.points, xs) if x == lo)

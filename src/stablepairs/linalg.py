@@ -169,9 +169,9 @@ def left_inverse(columns: Sequence[Sequence]) -> Rows:
     den, cols = integral(columns)
     k = len(cols[0]) if cols else 0
     gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-    # Solve gram * T = (den B)^T column by column (i.e. per ambient coordinate).
+    # Solve gram * T = (den B)^T for every ambient coordinate in one `rref`.
+    red, pivots = rref([g + col for g, col in zip(gram, cols)])
     T: Rows = [[Fraction(0)] * k for _ in cols]
-    for t in range(k):
-        for row, x in zip(T, solve(gram, [col[t] for col in cols])):
-            row[t] = x * den
+    for row, pc in zip(red, pivots):
+        T[pc] = [x * den for x in row[len(cols):]]
     return T

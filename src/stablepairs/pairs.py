@@ -379,11 +379,23 @@ def perturb(p: Pair, m: int, q: int) -> Pair:
     return Pair(WeightedVector(v_support), WeightedVector(w_support), p.problem)
 
 
-def _slope_terms(p: Pair, q: int, u: Sequence[int]) -> tuple[int, int]:
-    """(a, b) with futaki_gen(u, perturb(p, m, q)) == a * m + b for every m."""
-    cons = p.problem.constraints
-    w_u = weight(u, p.w, cons)
-    return w_u - weight(u, p.v, cons), w_u - q * min_functional(p.problem.q_polytope, u)
+def _scan_normals(p: Pair) -> tuple[OnePS | None, list[tuple]]:
+    """The first certificate normal of W that destabilizes, or None (then
+    the pair is semistable), and (u, *`_futaki_pairings`(u, p)) for each
+    normal u before it: every normal is paired with both supports once."""
+    passes = []
+    for u in certificate_normals(p.w.support, p.problem.ctx):
+        a, xw, xv = _futaki_pairings(u, p)
+        if a > 0:
+            return u, passes
+        passes.append((u, a, xw, xv))
+    return None, passes
+
+
+def _slope_offset(p: Pair, q: int, u: Sequence[int], xw: list[int]) -> int:
+    """b with futaki_gen(u, perturb(p, m, q)) == futaki_gen(u, p) * m + b
+    for every m, from the pairings xw of u with the w-support."""
+    return min(xw) - q * min_functional(p.problem.q_polytope, u)
 
 
 def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
@@ -392,39 +404,34 @@ def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
 
         (m+1) * weight(u, w)  <=  q * min over the reference polytope + m * weight(u, v).
     """
-    a, b = _slope_terms(p, q, u)
-    return a * m + b <= 0
+    a, xw, _ = _futaki_pairings(u, p)
+    return a * m + _slope_offset(p, q, u, xw) <= 0
 
 
 def stable(p: Pair, m_max: int) -> StableVerdict:
     """Least perturbation exponent, up to m_max, making the pair semistable.
 
-    The certificate normals of the w-polytope decide both steps.  The base
-    is unstable exactly when some normal u weighs more on w than on v
-    (`certificate_normals` contract), and that u is the witness; so an
-    unstable base pays for a facet enumeration, not for containment LPs.
-    Otherwise each normal asks a * m + b <= 0 with a <= 0 (`_slope_terms`):
+    One scan of the certificate normals u of W (`_scan_normals`) decides
+    both steps.  The base is unstable exactly when some u weighs more on w
+    than on v, and that u is the witness; so an unstable base pays for a
+    facet enumeration, not for containment LPs.  Otherwise each u asks
+    a * m + b <= 0, a = its `futaki_gen` <= 0 and b its `_slope_offset`:
     a = 0 < b rules out every m, a < 0 needs m >= b / -a.  The largest
-    bound is the least exponent; one containment check confirms it.  A
-    normal with a = 0 and weight(u, w) >= 0 has b > 0 whatever the module
-    degree q >= 1 (min_Q(u) < 0), so it settles "never stable" before q is
-    computed.
+    bound is the least exponent; one containment check confirms it.  A u
+    with a = 0 and min_w(u) >= 0 has b > 0 whatever the module degree
+    q >= 1 (min_Q(u) < 0): "never stable" before q is known.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    normals = certificate_normals(p.w.support, p.problem.ctx)
-    never = False
-    for u in normals:
-        a = futaki_gen(u, p)
-        if a > 0:
-            return StableVerdict.unstable_base(u)
-        never = never or (a == 0 and min_functional(p.w.support, u) >= 0)
-    if never:
-        return StableVerdict.not_stable_up_to(m_max)
+    witness, passes = _scan_normals(p)
+    if witness is not None:
+        return StableVerdict.unstable_base(witness)
+    if any(a == 0 and min(xw) >= 0 for _, a, xw, _ in passes):
+        return StableVerdict.not_stable_up_to(m_max)  # never stable
     q = degree_of(p.v, p.problem)
     e = 1
-    for u in normals:
-        a, b = _slope_terms(p, q, u)
+    for u, a, xw, _ in passes:
+        b = _slope_offset(p, q, u, xw)
         if a == 0 and b > 0:
             return StableVerdict.not_stable_up_to(m_max)  # never stable
         if a < 0:
@@ -451,8 +458,8 @@ def _futaki_pairings(u: Sequence[int], p: Pair) -> tuple[int, list[int], list[in
     v-support points that it is the difference of the minima of.
 
     The one pass over both supports for a covector, where it is checked
-    admissible; the energy's lines along u round the same pairings to
-    their slopes.
+    admissible; the verdicts of `stable` read it, and the energy's lines
+    along u round the same pairings to their slopes.
     """
     if len(u) != p.problem.rank:
         raise ValueError(f"length mismatch: {len(u)} vs {p.problem.rank}")
@@ -508,9 +515,9 @@ def check_relative_invariant(
         return False
     if any(lattice_point(b) not in p.w.support for b in exponents):
         return False
-    if sum(exponents.values()) != d:
-        return False
     rank = p.problem.rank
+    if sum(exponents.values()) != d or len(chi) != rank:
+        return False
     total = [0] * rank
     for b, n in exponents.items():
         for i in range(rank):

@@ -258,7 +258,7 @@ class TestHullCap:
             calls.append(args)
             raise AssertionError("certificate_normals called")
 
-        for module in (stablepairs.pairs, stablepairs.energy, stablepairs.polytope):
+        for module in (stablepairs.pairs, stablepairs.polytope):
             monkeypatch.setattr(module, "certificate_normals", never)
         points = _moment_curve(10, 30)
         path = tmp_path / "problem.json"

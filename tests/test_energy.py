@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import stablepairs.energy
 import stablepairs.linprog
+import stablepairs.pairs
 import stablepairs.polytope
 from stablepairs import (
     Pair,
@@ -383,8 +384,8 @@ class TestLineKernel:
             d = rng.choice(directions)
             energy = stablepairs.energy._Line(
                 p,
-                [(c, stablepairs.energy._pairings(p, e)) for c, e in shift],
-                stablepairs.energy._pairings(p, d),
+                [(c, stablepairs.energy._SubgroupLine(p, e).sides()) for c, e in shift],
+                stablepairs.energy._SubgroupLine(p, d).sides(),
             )
             for t in (-8.0, -1.3, 0.0, 0.7, 5.0):
                 s = [sum(c * float(e[i]) for c, e in shift) + t * float(d[i])
@@ -406,9 +407,9 @@ class TestLineKernel:
             if not basis:
                 continue
             d = rng.choice(basis + list(certificate_normals(p.w.support, p.problem.ctx)))
-            along = stablepairs.energy._pairings(p, d)
+            along = stablepairs.energy._SubgroupLine(p, d).sides()
             for shift in ([], [(rng.uniform(-5, 5), e) for e in basis]):
-                sides = [(c, stablepairs.energy._pairings(p, e)) for c, e in shift]
+                sides = [(c, stablepairs.energy._SubgroupLine(p, e).sides()) for c, e in shift]
                 shifted += bool(sides)
                 energy = stablepairs.energy._Line(p, sides, along)
                 reference = reference_line(p, sides, along)
@@ -420,11 +421,12 @@ class TestLineKernel:
         p = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]),
                  StabilityProblem.special_linear(1))
         with pytest.raises(ValueError):
-            stablepairs.energy._pairings(p, (1, 1))
+            stablepairs.energy._SubgroupLine(p, (1, 1)).sides()
         with pytest.raises(ValueError):
-            stablepairs.energy._pairings(p, (Fraction(1, 3), Fraction(-1, 3) + Fraction(1, 10**30)))
+            stablepairs.energy._SubgroupLine(
+                p, (Fraction(1, 3), Fraction(-1, 3) + Fraction(1, 10**30))).sides()
         d = (Fraction(1, 3), Fraction(-1, 3))
-        assert stablepairs.energy._pairings(p, d) == tuple(
+        assert stablepairs.energy._SubgroupLine(p, d).sides() == tuple(
             [float(2 * (d[0] * a[0] + d[1] * a[1])) for a in vec.support.points]
             for vec in (p.w, p.v)
         )
@@ -476,7 +478,8 @@ class TestLogSumExp:
             basis = nullspace(p.problem.constraints, p.problem.rank)
             if not basis:
                 continue
-            energy = stablepairs.energy._Line(p, [], stablepairs.energy._pairings(p, basis[0]))
+            along = stablepairs.energy._SubgroupLine(p, basis[0]).sides()
+            energy = stablepairs.energy._Line(p, [], along)
             for _ in range(5):
                 calls.clear()
                 energy(rng.uniform(-8, 8))
@@ -484,6 +487,32 @@ class TestLogSumExp:
 
 
 class TestInfimumEstimateProbes:
+    def test_one_exact_pass_per_normal_and_basis_vector(self, monkeypatch):
+        """The normals take their passes in the scan `stable` shares, up to a
+        destabilizer; each basis vector takes one in `_SubgroupLine`."""
+        passes = []
+        real = stablepairs.pairs._futaki_pairings
+        for module in (stablepairs.pairs, stablepairs.energy):
+            monkeypatch.setattr(
+                module, "_futaki_pairings", lambda u, p: passes.append(tuple(u)) or real(u, p)
+            )
+        with_basis = 0
+        for p in semistable_pairs(33, 24):
+            normals = certificate_normals(p.w.support, p.problem.ctx)
+            basis = p.problem.ctx.covectors(p.problem.rank)
+            passes.clear()
+            assert math.isfinite(infimum_estimate(p))
+            assert passes[:len(normals)] == list(normals)
+            assert len(passes) == len(normals) + len(basis)
+            with_basis += bool(basis) and bool(normals)
+        assert with_basis >= 12
+        unstable = Pair(WeightedVector([(0, 0), (-1, 2)]),
+                        WeightedVector([(2, 0), (0, 2), (-2, -2)]), FREE2)
+        normals = certificate_normals(unstable.w.support, unstable.problem.ctx)
+        passes.clear()
+        assert infimum_estimate(unstable) == -math.inf
+        assert passes == list(normals) and futaki_gen(normals[-1], unstable) > 0
+
     def test_calls_energy_at_at_most_once(self, monkeypatch):
         calls = []
         real = stablepairs.energy.energy_at
@@ -893,7 +922,8 @@ class TestNewtonFinish:
         its zero inside the bracket, and on the bracket end E' points to,
         after evaluating E' there, when the zero lies outside."""
         p = rank1_pair()
-        line = stablepairs.energy._Line(p, [], stablepairs.energy._pairings(p, (Fraction(1, 2),)))
+        along = stablepairs.energy._SubgroupLine(p, (Fraction(1, 2),)).sides()
+        line = stablepairs.energy._Line(p, [], along)
         assert abs(line.newton(-0.3, 0.5)) <= 1e-12
         assert line.newton(0.2, 0.6) == 0.2
         assert line.newton(-0.6, -0.2) == -0.2

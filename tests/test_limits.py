@@ -98,6 +98,12 @@ class TestLimitSupport:
         A = PointSet([(2, 0), (0, 2)])
         assert limit_support(A, (1, 1)) == A
 
+    def test_covector_of_the_wrong_length_is_rejected(self):
+        A = PointSet([(2, 0), (0, 2)])
+        for u in [(1,), (1, 1, 0)]:
+            with pytest.raises(ValueError, match=f"length mismatch: {len(u)} vs 2"):
+                limit_support(A, u)
+
 
 class TestRoundTripAndCompleteness:
     def test_round_trip_random(self):

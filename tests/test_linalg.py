@@ -7,6 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stablepairs.linalg
 from stablepairs.linalg import (
     in_span,
     integer_nullspace,
@@ -129,6 +130,16 @@ def test_left_inverse_matches_oracle(rows):
     assert _is_fraction_matrix(T)
     identity = [[int(i == j) for j in range(len(columns))] for i in range(len(columns))]
     assert [[sum(a * b for a, b in zip(t, col)) for col in columns] for t in T] == identity
+
+
+def test_left_inverse_eliminates_once(monkeypatch):
+    """One elimination of [G | (den B)^T] serves every ambient coordinate."""
+    sizes = []
+    real = stablepairs.linalg._eliminate
+    monkeypatch.setattr(stablepairs.linalg, "_eliminate", lambda m: sizes.append(len(m)) or real(m))
+    columns = [[1, 2, 0, Fraction(1, 2)], [0, 1, 3, -1]]
+    assert left_inverse(columns) == _o_left_inverse(columns)
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize(

@@ -477,6 +477,30 @@ class TestStableBaseOnNormals:
             kinds[bool(cons)] += 1
         assert sum(kinds.values()) >= 50
 
+    @pytest.mark.parametrize(
+        "v, w, expected",
+        [
+            ([(0, 0), (-1, 2)], [(2, 0), (0, 2), (-2, -2)], StableVerdict.unstable_base((2, -1))),
+            ([(0, 0), (1, 1)], [(2, 0), (0, 2), (-1, -1)], StableVerdict.stable(2)),
+        ],
+        ids=["unstable_third_normal", "semistable_exponent_two"],
+    )
+    def test_one_exact_pass_per_normal(self, monkeypatch, v, w, expected):
+        """Each normal, up to the witness, takes one `_futaki_pairings`
+        pass, which both the base verdict and the exponent loop read;
+        `weight` is never called."""
+        p = Pair(WeightedVector(v), WeightedVector(w), FREE2)
+        normals = certificate_normals(p.w.support, p.problem.ctx)
+        passes = []
+        real = stablepairs.pairs._futaki_pairings
+        monkeypatch.setattr(
+            stablepairs.pairs, "_futaki_pairings", lambda u, p: passes.append(u) or real(u, p)
+        )
+        monkeypatch.setattr(stablepairs.pairs, "weight", None)  # not called
+        assert stable(p, 6) == expected
+        upto = normals.index(expected.witness) + 1 if expected.witness else len(normals)
+        assert len(normals) == 3 and passes == list(normals[:upto])
+
 
 class TestCollapsedQuotient:
     """Constraints spanning the whole lattice collapse the quotient to a
@@ -601,6 +625,16 @@ class TestRelativeInvariant:
                     b: int(l * d) for b, l in zip(p.w.support.points, weights) if l
                 }
                 checked += 1
+
+    def test_character_of_the_wrong_length_is_rejected(self):
+        exponents = {(1, 0): 1}
+        free = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), FREE2)
+        assert check_relative_invariant(free, (1, 0), 1, exponents)
+        assert not check_relative_invariant(free, (1,), 1, exponents)
+        assert not check_relative_invariant(free, (1, 0, 5), 1, exponents)
+        sl2 = Pair(free.v, free.w, StabilityProblem.special_linear(1))
+        assert check_relative_invariant(sl2, (1, 0), 1, exponents)
+        assert not check_relative_invariant(sl2, (7,), 1, exponents)
 
     def test_weights_of_another_pair_are_ignored(self):
         # Same v and w points, but the other pair is read modulo the
