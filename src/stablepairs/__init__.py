@@ -46,7 +46,6 @@ from .pairs import (
     relative_invariant,
     stable,
     t_semistable,
-    weight,
 )
 from .limits import extension_criterion, find_degeneration, limit_support
 from .futaki import (
@@ -134,5 +133,4 @@ __all__ = [
     "t_semistable",
     "torus_oracle_bf",
     "variety_pair",
-    "weight",
 ]

@@ -70,6 +70,23 @@ def _eliminate(m: list[list[int]]) -> tuple[int, list[int]]:
     return prev, pivots
 
 
+def first_basis(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]] | None:
+    """The indices of the first rows that form a basis, and their dual basis
+    in integers; None when the (nonempty, integer) rows do not span.
+
+    One `_eliminate` of [rows^T | I]: its pivots below len(rows) are the
+    first independent rows S.  When they fill the columns, the identity
+    block ends as det * S^-T, whose row j times sign(det) pairs to |det|
+    with row j of S and to 0 with the others.
+    """
+    n, k = len(rows), len(rows[0])
+    m = [[*col, *[int(i == j) for j in range(k)]] for i, col in enumerate(zip(*rows))]
+    det, pivots = _eliminate(m)
+    if pivots and pivots[-1] >= n:
+        return None
+    return pivots, [[x if det > 0 else -x for x in row[n:]] for row in m]
+
+
 def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
     """Reduced row echelon form.
 
@@ -82,20 +99,13 @@ def rref(rows: Sequence[Sequence]) -> tuple[Rows, list[int]]:
     return [[Fraction(a, prev) for a in row] for row in m[:len(pivots)]], pivots
 
 
-def pivot_columns(rows: Sequence[Sequence]) -> list[int]:
-    """The pivot columns of the reduced row echelon form, from the integer
-    elimination (`_eliminate`) of the rows scaled to integers.
-
-    No `Fraction` is built beyond the non-integer entries of the input.
-    """
-    _, m = integral(rows)
-    return _eliminate(m)[1]
-
-
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of the matrix: its number of pivot columns (`pivot_columns`),
-    the same as `len(rref(rows)[0])`."""
-    return len(pivot_columns(rows))
+    """Rank of the matrix: the number of pivot columns of the integer
+    elimination (`_eliminate`) of the rows scaled to integers, the same as
+    `len(rref(rows)[0])`.  No `Fraction` is built beyond the non-integer
+    entries of the input."""
+    _, m = integral(rows)
+    return len(_eliminate(m)[1])
 
 
 def integer_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[int, list[list[int]]]:

@@ -310,16 +310,6 @@ class StableVerdict:
         return self.status == self.STABLE
 
 
-def weight(u: Sequence[int], v: WeightedVector, constraints: Iterable[Sequence[int]] = ()) -> int:
-    """Minimum pairing of u against the support of v.
-
-    This is the renormalization exponent making the limit of v along the
-    one-parameter subgroup of u exist and stay nonzero.
-    """
-    require_admissible(u, constraints)
-    return min_functional(v.support, u)
-
-
 def t_semistable(p: Pair) -> Verdict:
     """Decide torus semistability of the pair exactly.
 
@@ -402,7 +392,9 @@ def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
     """Slope form of the properness inequality along u, exact in integers:
     the coercive estimate for the degree-m perturbation amounts to
 
-        (m+1) * weight(u, w)  <=  q * min over the reference polytope + m * weight(u, v).
+        (m+1) * min <u, W>  <=  q * min <u, Q> + m * min <u, V>
+
+    over the w-support W, the reference polytope Q and the v-support V.
     """
     a, xw, _ = _futaki_pairings(u, p)
     return a * m + _slope_offset(p, q, u, xw) <= 0

@@ -17,7 +17,8 @@ double-description method in exact integer arithmetic (Motzkin et al.
 1953; Fukuda and Prodon 1996), inserting the points in a golden-ratio
 stride order, on integer hull coordinates: the quotient coordinates of
 the point offsets when they have full rank, else their entries in the
-pivot columns of the echelon basis of the offsets.
+pivot columns of the echelon basis of the offsets.  One elimination
+(`linalg.first_basis`) decides the rank and builds the seed rays.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .lattice import (
     OnePS,
     RationalFunctional,
     Scalar,
-    clear_denominators,
     dot,
     lattice_point,
 )
@@ -111,10 +111,11 @@ class ContainmentContext:
         object.__setattr__(self, "basis", tuple(map(tuple, basis)))
 
     def project(self, x: Sequence[Scalar]) -> Sequence[Scalar]:
-        """Fx: the quotient coordinates of x, or x itself without directions."""
+        """Fx: the quotient coordinates of x, or x itself without directions;
+        the length of x is checked by the callers (`_check_dims`)."""
         if not self.mod_directions:
             return x
-        return [dot(f, x) for f in self.basis]
+        return [sum(map(mul, f, x)) for f in self.basis]
 
     def lift(self, h: Sequence[Scalar]) -> Sequence[Scalar]:
         """hF: the ambient covector of the quotient covector h, or h itself
@@ -383,12 +384,12 @@ def certificate_normals(
 
     Everything runs in integers, in the k = dim - len(directions) quotient
     coordinates of the context's integer basis F, and each normal goes
-    back to the ambient lattice through `ContainmentContext.lift`.  The
-    functionals constant on the image of A, the integer nullspace of the
-    point offsets (`linalg.integer_nullspace`), are added in both signs.
-    When there are none, the offsets have full rank k: the hull
-    coordinates are their quotient coordinates and the hull map T is the
-    identity, so no `Fraction` is built.  Below full rank, the hull
+    back to the ambient lattice through `ContainmentContext.lift`.  When
+    the point offsets have full rank k, the one seeding elimination of
+    `_facet_normals` says so, the hull coordinates are their quotient
+    coordinates and the hull map T is the identity: no `Fraction` is built.
+    Below full rank, the functionals constant on the image of A (the
+    integer nullspace of the offsets) are added in both signs, the hull
     coordinates of a point are its offset's entries in the pivot columns
     of `rref(offsets)`, and the facet normals are lifted through T, the
     left inverse of those rows, scaled once to integers.
@@ -402,16 +403,12 @@ def certificate_normals(
     phi = [ctx.project(p) for p in A.points]
     p0 = phi[0]
     psi = [[a - b for a, b in zip(q, p0)] for q in phi]
-    # Affine-hull enforcers: functionals constant on the image of A.
-    _, enforcers = linalg.integer_nullspace(psi[1:], k)
-    if not enforcers:
-        # Full rank: the hull coordinates are psi itself, T the identity.
-        raw: list[Sequence[int]] = _facet_normals(psi)
-    else:
-        raw = []
-        for g in enforcers:
-            raw.append(g)
-            raw.append([-c for c in g])
+    # At full rank the hull coordinates are psi itself, T the identity.
+    raw = _facet_normals(psi)
+    if raw is None:  # lower-dimensional
+        # Affine-hull enforcers: functionals constant on the image of A.
+        _, enforcers = linalg.integer_nullspace(psi[1:], k)
+        raw = [h for g in enforcers for h in (g, [-c for c in g])]
         # Facet normals within the affine hull, in hull coordinates.
         wrows, pivots = linalg.rref(psi[1:])
         if wrows:
@@ -420,10 +417,10 @@ def certificate_normals(
                 raw.append([sum(a * b for a, b in zip(h, col)) for col in zip(*T)])
 
     out: set[OnePS] = set()
-    for h in raw:
-        u = ctx.lift(h)
+    for u in map(ctx.lift, raw):
         if any(u):
-            out.add(clear_denominators(u))
+            g = gcd(*u)
+            out.add(tuple([c // g for c in u]))
     return tuple(sorted(out))
 
 
@@ -436,17 +433,18 @@ def _stride(n: int) -> int:
     return step
 
 
-def _facet_normals(psi: Sequence[Sequence[int]]) -> list[OnePS]:
-    """Primitive inward facet normals of conv(psi), which must affinely span
-    its whole space R^d.
+def _facet_normals(psi: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """Inward facet normals of conv(psi), or None when psi does not
+    affinely span its whole space R^d.
 
     Double description over the integers: for the integer points q of psi,
     the cone {(h, c) : <h, q> - c >= 0 for every q} is pointed, and its
     extreme rays are exactly the pairs (h, min of <h, q>) with h an inward
-    facet normal.  The cone is seeded with the simplicial cone of d + 1
-    affinely independent points, then cut by the remaining points one at a
-    time, combining only the +/- ray pairs that pass the combinatorial
-    adjacency test.
+    facet normal.  The cone is seeded with the simplicial cone of the first
+    d + 1 affinely independent points, whose rays are the dual basis of
+    their rows (q, -1) (`linalg.first_basis`, one elimination), then cut
+    by the remaining points one at a time, combining only the +/- ray
+    pairs that pass the combinatorial adjacency test.
 
     The points are taken in a golden-ratio stride order (`_stride`), not
     in their sorted order: neighbouring sorted points, such as those of a
@@ -459,14 +457,15 @@ def _facet_normals(psi: Sequence[Sequence[int]]) -> list[OnePS]:
     size = len(psi)
     step = _stride(size)
     rows = [(*psi[i * step % size], -1) for i in range(size)]
-    # The pivot columns of the transpose are the first independent rows.
-    seed = linalg.pivot_columns(list(zip(*rows)))
+    basis = linalg.first_basis(rows)
+    if basis is None:
+        return None
+    seed, dual = basis
     # A ray is [primitive vector, bitmask of the processed rows it lies on].
     rays = []
-    for j in seed:
-        _, (r,) = linalg.integer_nullspace([rows[i] for i in seed if i != j], d + 1)
-        r = clear_denominators(r if sum(map(mul, rows[j], r)) > 0 else [-c for c in r])
-        rays.append([r, sum(1 << i for i in seed if i != j)])
+    for j, r in zip(seed, dual):
+        g = gcd(*r)
+        rays.append([[c // g for c in r], sum(1 << i for i in seed if i != j)])
     seeded = set(seed)
     for i, a in enumerate(rows):
         if i in seeded:
@@ -495,6 +494,7 @@ def _facet_normals(psi: Sequence[Sequence[int]]) -> list[OnePS]:
                 ):
                     continue
                 r = [vp * cn - vn * cp for cn, cp in zip(n[0], p[0])]
-                kept.append([clear_denominators(r), common | bit])
+                g = gcd(*r)
+                kept.append([[c // g for c in r], common | bit])
         rays = kept
     return [r[:d] for r, _ in rays]

@@ -8,7 +8,8 @@ the closed forms read off certificate normals are measured against.
 `face_limit_support` decides limit supports both ways from the
 subset-walk normals.  `kempf_ness_distance` is a second float formula
 for the energy.
-`facet_weight_semistable` is the one package-side criterion path here.
+`facet_weight_semistable` is the one package-side criterion path here,
+and `weight` the minimum pairing the destabilizer checks read.
 `reference_solve_lp` is a plainer simplex, the differential oracle for
 `linprog.solve_lp`, `reference_line` the energy probe through a
 generic log-sum-exp, the bit-identity oracle for `energy._Line`, and
@@ -426,6 +427,16 @@ def _o_dot(u, v):
 
 def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def weight(u, v: WeightedVector, constraints=()) -> int:
+    """Minimum pairing of u against the support of v: the renormalization
+    exponent making the limit of v along the one-parameter subgroup of u
+    exist and stay nonzero.  Raises ValueError on a u of the wrong length
+    or one that does not annihilate every constraint."""
+    if len(u) != v.support.dim or any(_o_dot(c, u) for c in constraints):
+        raise ValueError(f"inadmissible one-parameter subgroup {tuple(u)}")
+    return min(_o_dot(u, a) for a in v.support)
 
 
 # ---------------------------------------------------------------------------

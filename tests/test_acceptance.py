@@ -34,7 +34,6 @@ from stablepairs import (
     stable,
     t_semistable,
     torus_oracle_bf,
-    weight,
 )
 from stablepairs.lattice import dot, is_admissible
 from stablepairs.linalg import in_span
@@ -46,6 +45,7 @@ from helpers import (
     kempf_ness_distance,
     random_binary_form,
     random_pair,
+    weight,
 )
 
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import stablepairs.linalg
 from stablepairs.linalg import (
+    first_basis,
     in_span,
     integer_nullspace,
     integral,
     left_inverse,
     matrix_rank,
     nullspace,
-    pivot_columns,
     rref,
     solve,
 )
@@ -62,7 +62,6 @@ def test_rref_matches_oracle(rows):
     assert (red, pivots) == _o_rref(rows)
     assert _is_fraction_matrix(red)
     assert matrix_rank(rows) == len(pivots)
-    assert pivot_columns(rows) == pivots
 
 
 def _divided(den, ints):
@@ -132,6 +131,33 @@ def test_left_inverse_matches_oracle(rows):
     assert [[sum(a * b for a, b in zip(t, col)) for col in columns] for t in T] == identity
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_basis_matches_oracle(data):
+    """The first independent rows, found greedily by the oracle; when they
+    span, each dual row pairs to one common positive |det| with its own row
+    and to 0 with the others, and else there is no basis."""
+    ncols = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                              min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        rows = [row[:-1] + [row[0]] for row in rows]  # at times a repeated column
+    seed = []
+    for i, row in enumerate(rows):
+        if not _o_in_span([rows[j] for j in seed], row):
+            seed.append(i)
+    got = first_basis(rows)
+    if len(seed) < ncols:
+        assert got is None
+        return
+    indices, dual = got
+    assert indices == seed
+    pairings = [[sum(a * b for a, b in zip(d, rows[i])) for i in seed] for d in dual]
+    det = pairings[0][0]
+    assert det > 0 and all(type(x) is int for d in dual for x in d)
+    assert pairings == [[det * (r == c) for c in range(ncols)] for r in range(ncols)]
+
+
 def test_left_inverse_eliminates_once(monkeypatch):
     """One elimination of [G | (den B)^T] serves every ambient coordinate."""
     sizes = []
@@ -165,7 +191,6 @@ def test_edge_cases_match_oracle(rows):
     assert (red, pivots) == _o_rref(rows)
     assert _is_fraction_matrix(red)
     assert matrix_rank(rows) == len(pivots)
-    assert pivot_columns(rows) == pivots
     ncols = len(rows[0]) if rows else 3
     assert nullspace(rows, ncols) == _o_nullspace(rows, ncols)
     assert _divided(*integer_nullspace(rows, ncols)) == _o_nullspace(rows, ncols)

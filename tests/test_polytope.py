@@ -46,6 +46,21 @@ class TestContainsPoint:
         with pytest.raises(ValueError):
             contains_point(PointSet([(1, 0)]), (1, 0, 0))
 
+    @pytest.mark.parametrize("x", [(1, 0), (1, 0, 0, 0)])
+    def test_dimension_mismatch_through_the_quotient(self, x):
+        """`ContainmentContext.project` zips without a length check, so every
+        public entry point checks the dimensions before it projects."""
+        ctx = ContainmentContext([(1, 1, 1)])
+        A = PointSet([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
+        for call in (containment, contains_point, convex_combination,
+                     separating_functional, interior_contains):
+            with pytest.raises(ValueError):
+                call(A, x, ctx)
+        with pytest.raises(ValueError):
+            hull_contains(A, PointSet([x]), ctx)
+        with pytest.raises(ValueError):
+            certificate_normals(PointSet([x]), ctx)
+
 
 class TestHullContains:
     def test_edges_inside_triangle(self):
@@ -475,22 +490,23 @@ class TestZeroDimensionalQuotient:
 
 def test_certificate_normals_rank5_twenty_points_is_fast(monkeypatch):
     # The subset walk needs about 15 000 five-point subsets here, one
-    # nullspace each; double description needs one per seed ray.
+    # nullspace each; double description needs one integer elimination,
+    # which seeds it.
     calls = []
-    nullspace = stablepairs.linalg.nullspace
+    eliminate = stablepairs.linalg._eliminate
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return nullspace(*args, **kwargs)
+        return eliminate(*args, **kwargs)
 
-    monkeypatch.setattr(stablepairs.linalg, "nullspace", counting)
+    monkeypatch.setattr(stablepairs.linalg, "_eliminate", counting)
     rng = random.Random(5)
     A = PointSet({tuple(rng.randint(-5, 5) for _ in range(5)) for _ in range(20)})
     assert len(A) == 20
     start = time.perf_counter()
     normals = certificate_normals(A)
     assert time.perf_counter() - start < 1.0
-    assert len(calls) <= 20
+    assert len(calls) == 1
     assert all(min_functional(A, u) < max(dot(u, p) for p in A) for u in normals)
 
 
@@ -500,9 +516,11 @@ def test_certificate_normals_of_full_dimensional_hulls_build_no_fraction(
     monkeypatch, rank, constrained
 ):
     """At full rank the hull coordinates are the quotient coordinates and the
-    hull map is the identity: no `linalg.rref`, `nullspace` or `left_inverse`
-    call and no `Fraction`.  Lower-dimensional sets take the lift, and every
-    set still matches the subset-walk oracle."""
+    hull map is the identity: one integer elimination (`linalg.first_basis`
+    seeds the enumeration), no `linalg.rref`, `nullspace`, `integer_nullspace`
+    or `left_inverse` call and no `Fraction`.  Lower-dimensional sets take
+    the enforcers and the lift, and every set still matches the subset-walk
+    oracle."""
     rng = random.Random(4000 * rank + constrained)
     cases = []
     for ctx in _quotient_contexts(rank, constrained):
@@ -513,7 +531,7 @@ def test_certificate_normals_of_full_dimensional_hulls_build_no_fraction(
             cases.append((A, ctx, subset_walk_normals(A, ctx), full))
 
     calls = []
-    for name in ("rref", "nullspace", "left_inverse"):
+    for name in ("rref", "nullspace", "integer_nullspace", "left_inverse", "_eliminate"):
         real = getattr(stablepairs.linalg, name)
         monkeypatch.setattr(stablepairs.linalg, name,
                             lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
@@ -535,7 +553,11 @@ def test_certificate_normals_of_full_dimensional_hulls_build_no_fraction(
         counting[0] = False
         assert got == expected, (A, ctx)
         if full:
-            assert calls == [] and built == [], (A, ctx)
+            # None at all in a zero-dimensional quotient.
+            one = ["_eliminate"] if A.dim > len(ctx.mod_directions) else []
+            assert calls == one and built == [], (A, ctx)
+        else:
+            assert "integer_nullspace" in calls, (A, ctx)
         seen[full] += 1
     assert seen[True] >= 10
     # Every singleton is lower-dimensional, except in the zero-dimensional
@@ -544,16 +566,44 @@ def test_certificate_normals_of_full_dimensional_hulls_build_no_fraction(
         assert seen[False] >= 1
 
 
+@pytest.mark.parametrize("A, ctx", [
+    (PointSet([(0, 0, 0), (1, 2, 3), (2, 4, 6), (-1, -2, -3)]), ContainmentContext()),
+    (PointSet([(1, -1, 2), (3, 1, 4), (-3, -5, -2)]), ContainmentContext()),
+    (PointSet([(0, 0, 0), (1, 1, 1), (2, 2, 2)]), ContainmentContext([(1, 1, 1)])),
+    (PointSet([(2, 0, 1), (4, 3, 5)]), ContainmentContext([(2, 3, 4)])),
+    (PointSet([(2, -3, 5)]), ContainmentContext()),
+    (PointSet([(2, -3, 5)]), ContainmentContext([(1, 1, 1)])),
+    (PointSet([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]), ContainmentContext()),
+], ids=["collinear", "collinear-off-origin", "one-quotient-image", "one-image-fractional",
+        "single-point", "single-point-quotient", "square-in-rank-4"])
+def test_lower_dimensional_seeds_take_the_lift(monkeypatch, A, ctx):
+    """Sets whose homogenized points do not span: the elimination of
+    `linalg.first_basis` runs its last pivots into the identity block, so
+    the seed is not a basis and its dual block must not be read.  These
+    sets take the enforcers and the lift, and match the subset-walk
+    oracle."""
+    expected = subset_walk_normals(A, ctx)
+    calls = []
+    real = stablepairs.linalg.integer_nullspace
+    monkeypatch.setattr(stablepairs.linalg, "integer_nullspace",
+                        lambda *args: calls.append(1) or real(*args))
+    assert certificate_normals(A, ctx) == expected
+    assert calls == [1]
+
+
 def test_double_description_on_the_moment_curve_builds_few_rays(monkeypatch):
     """The cyclic polytope of 200 points of (t, t^2, t^3) has 2(n - 2)
     facets.  Taken in the stride order, double description builds about
-    800 rays on the way (19 894 in sorted order); `clear_denominators` runs
-    once per ray built, per seed ray and per output covector."""
-    built = []
-    real = stablepairs.polytope.clear_denominators
-    monkeypatch.setattr(stablepairs.polytope, "clear_denominators",
-                        lambda g: built.append(1) or real(g))
+    800 rays on the way (19 894 in sorted order).  Each ray it builds, seed
+    rays included, is made primitive by one `gcd` over its d + 1 = 4
+    entries, and each output covector by one over its 3 entries, so the
+    calls of 4 arguments count the rays."""
+    arities = []
+    real = stablepairs.polytope.gcd
+    monkeypatch.setattr(stablepairs.polytope, "gcd",
+                        lambda *args: arities.append(len(args)) or real(*args))
     n = 200
     normals = certificate_normals(PointSet((t, t * t, t ** 3) for t in range(n)))
     assert len(normals) == 2 * (n - 2)
-    assert len(built) <= 2000
+    assert arities.count(3) == len(normals)
+    assert 4 <= arities.count(4) <= 2000

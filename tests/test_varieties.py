@@ -18,10 +18,9 @@ from stablepairs import (
     scale,
     t_semistable,
     variety_pair,
-    weight,
 )
 
-from helpers import random_pair
+from helpers import random_pair, weight
 
 
 class TestVarietyDatum:
