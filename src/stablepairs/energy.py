@@ -30,9 +30,8 @@ every torus element: the normals in the scan `stable` shares
 (`_scan_normals`), a basis vector or a covector in `_SubgroupLine`, whose
 `sides` divide the doubled integer pairings of den d by den, den the common
 denominator of d, with one rounding.  Floating-point work goes to the line
-searches: a ray probe runs only when a floor of the energy it would
-compute lies below the current estimate, a floor first priced in O(1)
-(`_extents`) and computed in full only when that is needed.
+searches: a ray probe runs unless a floor of the energy it would compute,
+priced in O(1) (`_extents`), is not below the current estimate.
 """
 
 from __future__ import annotations
@@ -281,17 +280,15 @@ def infimum_estimate(p: Pair) -> float:
     seeds 1-9 skipping them moves the estimate by more than 1e-9, up on 5
     (by at most 0.313) and down on 2 (by at most 0.015).
 
-    A ray probe is skipped when its floor, the largest w-exponent minus the
-    largest v-exponent minus log |supp v| and a 1e-9 relative allowance for
-    rounding, is not below the estimate so far: it could not lower it.
-    The returned float is the one every probe would give.  O(1) bounds on
-    the largest exponent of each side (`_extents`) put the floor between
-    two values (`_floor`): the probe is skipped when the lower one is not
-    below the estimate and made when the upper one is, and only in between
-    is the floor computed over every term (`_exact_floor`).  The bounds
-    settle 63 908 of the 66 384 checks on the 456 pairs of the `energy`
-    benchmark pools of seeds 1-3.  Each normal is paired with both supports
-    once, in integers, in the scan: its Futaki number and ray slopes too.
+    A ray probe is skipped when a floor of its energy, the largest
+    w-exponent minus the largest v-exponent minus log |supp v| and a 1e-9
+    relative allowance for rounding, is not below the estimate so far: it
+    could not lower it.  The returned float is the one every probe would
+    give.  The floor is priced in O(1) (`_floor`) from bounds on the
+    largest exponent of each side (`_extents`), and it is never above the
+    floor over every term; every probe it does not skip is made.  Each
+    normal is paired with both supports once, in integers, in the scan:
+    its Futaki number and ray slopes too.
     """
     witness, passes = _scan_normals(p)
     if witness is not None:
@@ -321,25 +318,12 @@ def infimum_estimate(p: Pair) -> float:
     slack = math.log(len(lv))
     for along in rays:
         (kw, kv), line = along, None
-        for t, (w_lo, w_hi, w_size), (v_lo, v_hi, v_size) in zip(
+        for t, (w_lo, _, w_size), (_, v_hi, v_size) in zip(
                 _RAY_TS, _extents(lw, kw, _RAY_TS), _extents(lv, kv, _RAY_TS)):
-            if _floor(w_lo, v_hi, w_size, v_size, slack) >= best:
-                continue  # the floor is at least this: the probe cannot lower best
-            if (_floor(w_hi, v_lo, 0.0, 0.0, slack) < best  # the floor is at most this
-                    or _exact_floor(p, along, t, slack) < best):
+            if _floor(w_lo, v_hi, w_size, v_size, slack) < best:
                 line = line or _Line(p, (), along)
                 best = min(best, line(t))
     return best
-
-
-def _exact_floor(p: Pair, along: _Sides, t: float, slack: float) -> float:
-    """The floor of the probe at t of the line through the identity: mw -
-    mv - slack (`_floor`), mw and mv the largest exponents b + t k of w
-    and of v, b the log magnitudes and k the slopes `along`."""
-    (kw, kv) = along
-    mw = max([b + t * k for b, k in zip(p.w.log_magnitudes, kw)])
-    mv = max([b + t * k for b, k in zip(p.v.log_magnitudes, kv)])
-    return _floor(mw, mv, abs(mw), abs(mv), slack)
 
 
 def _extents(bases: list[float], slopes: list[float],
@@ -372,7 +356,6 @@ def _floor(mw: float, mv: float, w_size: float, v_size: float, slack: float) -> 
     In floats too the value never rises as mw falls or as mv, w_size or
     v_size rise, so with lo <= m <= hi on each side the w-side lo, the
     v-side hi and sizes at least |mw| and |mv| give a floor no higher than
-    the exact one (sizes |mw| and |mv|), and the w-side hi, the v-side lo
-    and sizes 0 one no lower.
+    the exact one (sizes |mw| and |mv|).
     """
     return mw - mv - slack - _FLOOR_TOL * (1.0 + w_size + v_size)

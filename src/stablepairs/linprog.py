@@ -28,8 +28,13 @@ the sum of b, minus the objective value.  The loop runs while that entry
 is nonzero, and the system is infeasible iff it ends positive: the Farkas
 y is then read off the artificial entries of the last row, and otherwise
 x off the last column.  Phase 1 is bounded above by 0, so every entering
-column has a row to leave; over a zero right-hand side the loop makes no
-pivot and x = 0.
+column has a row to leave; over a zero right-hand side x = 0 is returned
+before any tableau is built, as the loop would make no pivot.  The set-up
+negates the rows with b < 0 and sums their columns and |b|, the reduced
+costs, on the input numbers, then builds one `Fraction` per entry.  Only
+ints and `Fraction`s are summed as given: any other kind (floats,
+Decimals, strings) is first made its exact `Fraction`, as a Decimal
+negation or sum may round.
 
 A pivot is one sparse update of every row.  The nonzero entries of the
 pivot row are divided and their columns listed once; every other row
@@ -38,7 +43,8 @@ place on those columns only, so a zero entry (most of the artificial
 block, the zero coordinates of small lattice points) is never touched.
 Bland's entering rule (over x and the artificials) and the ratio test
 (over the rows of A) check the sign of the numerator: a `Fraction`'s
-denominator is always positive.
+denominator is always positive.  The ratio test divides nothing: it
+compares integer cross products, with ties to the smaller basis index.
 
 Bland's rule visits each basis at most once, so more pivots than there
 are bases (`_max_pivots`) can only come from a defect; the loop then
@@ -64,6 +70,13 @@ def _max_pivots(n: int, m: int) -> int:
     rule never returns to a basis, and there are at most comb(n + m, m)
     bases of the m rows among the n + m columns, artificials included."""
     return comb(n + m, m)
+
+
+def _flipped(rows: Sequence[Sequence], rhs: Sequence) -> tuple[list, list, list]:
+    """The signs of b, the rows negated where b < 0, and their column sums then sum |b|."""
+    flips = [-1 if b < 0 else 1 for b in rhs]
+    flipped = [row if f > 0 else [-a for a in row] for row, f in zip(rows, flips)]
+    return flips, flipped, [*map(sum, zip(*flipped)), sum(map(abs, rhs))]
 
 
 @dataclass
@@ -92,25 +105,25 @@ def solve_lp(
     if not all(nonneg):
         raise ValueError("only feasibility is decided: every column must be nonnegative")
 
-    # Rows flipped so b >= 0, then artificials and b; the certificate unflips.
     m = len(rows)
-    tableau: list[list[Fraction]] = []
-    flips: list[int] = []
-    for i, (row, bi_raw) in enumerate(zip(rows, rhs)):
-        bi = Fraction(bi_raw)
-        flips.append(-1 if bi < 0 else 1)
-        r = [Fraction(a) for a in row]
-        if bi < 0:
-            r = [-a for a in r]
-        r.extend(_ONE if k == i else _ZERO for k in range(m))
-        r.append(abs(bi))
-        tableau.append(r)
-    basis = [n + i for i in range(m)]
-
-    # The reduced costs: column sums on x, 0 on the artificials, then sum b = -z.
-    rc = [sum((r[j] for r in tableau), _ZERO) for j in range(n)] + [_ZERO] * m
-    rc.append(sum((r[-1] for r in tableau), _ZERO))
+    try:
+        flips, flipped, sums = _flipped(rows, rhs)
+    except TypeError:  # kinds that do not mix, such as Decimal and Fraction
+        sums = [None]
+    if not {*map(type, sums)} <= {int, Fraction}:
+        rows, rhs = [[*map(Fraction, r)] for r in rows], [*map(Fraction, rhs)]
+        flips, flipped, sums = _flipped(rows, rhs)
+    if not sums[-1]:
+        # x = 0, with no pivot; so too with no rows, where there are no column sums.
+        return LPResult(OPTIMAL, x=[_ZERO] * n, objective=_ZERO)
+    zeros = [_ZERO] * m
+    tableau = [
+        [*map(Fraction, row), *zeros[:i], _ONE, *zeros[i + 1:], Fraction(abs(b))]
+        for i, (row, b) in enumerate(zip(flipped, rhs))
+    ]
+    rc = [*map(Fraction, sums[:n]), *zeros, Fraction(sums[-1])]
     tableau.append(rc)
+    basis = [n + i for i in range(m)]
     budget = _max_pivots(n, m)
     while rc[-1]:
         entering = next((j for j in range(n + m) if rc[j].numerator > 0), -1)
@@ -119,15 +132,16 @@ def solve_lp(
         if not budget:
             raise RuntimeError("internal: phase 1 exceeded its pivot bound, so it cycles")
         budget -= 1
-        leave = -1
-        best: Fraction | None = None
+        # b / a < p / q as num(b) den(a) q < p den(b) num(a); p / q the best
+        # ratio so far, 1 / 0 before any.
+        leave, p, q = -1, 1, 0
         for i, row in enumerate(tableau[:m]):
             a = row[entering]
             if a.numerator > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                b = row[-1]
+                bp, bq = b.numerator * a.denominator, b.denominator * a.numerator
+                if bp * q < p * bq or (bp * q == p * bq and basis[i] < basis[leave]):
+                    leave, p, q = i, bp, bq
         # The sparse pivot, on every row with a nonzero entering entry.
         prow = tableau[leave]
         piv = prow[entering]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,7 +60,25 @@ def test_exact_fractions():
     assert _farkas_separates(res.farkas, rows, [Fraction(-3, 4)])
 
 
+NEG = Decimal("-1.0000000000000000000000000000001")  # more digits than a Decimal negation keeps
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[NEG, 1]], [NEG]),                                 # -NEG would round
+    ([[Decimal(1), 1], [Fraction(1, 3), 2]], [1, 1]),    # kinds whose sum raises
+    ([["1/2", "-3"]], ["-1"]),                           # strings, as `Fraction` reads them
+])
+def test_other_kinds_are_converted_before_they_are_flipped(rows, rhs):
+    """Only ints and `Fraction`s are flipped and summed as given; any other
+    kind is first made the exact `Fraction` it stands for (floats are drawn
+    by `_cone_lps`)."""
+    n = len(rows[0])
+    res = solve_lp([0] * n, rows, rhs, [True] * n)
+    assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+
+
 small_int = st.integers(-4, 4)
+small_frac = st.builds(Fraction, small_int, st.integers(1, 4))
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,9 +142,13 @@ def _cone_lps(draw):
     """Cone membership as `polytope._cone_lp` poses it, at the sizes of the
     benchmark pools: up to 5 rows and 12 columns.  Columns (a, 1) and target
     (x, 1), or a homogeneous system, with duplicate, zero and unit columns,
-    zero targets and redundant rows mixed in."""
+    zero targets and redundant rows mixed in.  Entries and right-hand sides
+    are ints, or in some systems `Fraction`s or floats of either sign:
+    `solve_lp` must sum those as `Fraction`s, the floats as the binary
+    fractions they are, never as ints or in floating point."""
     dim = draw(st.integers(1, 4))
     homogenized = draw(st.booleans())
+    entry = draw(st.sampled_from((small_int, small_frac, small_frac.map(float))))
     k = draw(st.integers(1, 12))
     cols = []
     for _ in range(k):
@@ -138,9 +161,9 @@ def _cone_lps(draw):
             i = draw(st.integers(0, dim - 1))
             cols.append([draw(st.sampled_from((1, -1))) * (j == i) for j in range(dim)])
         else:
-            cols.append(draw(st.lists(small_int, min_size=dim, max_size=dim)))
+            cols.append(draw(st.lists(entry, min_size=dim, max_size=dim)))
     target = [0] * dim if draw(st.booleans()) else draw(
-        st.lists(small_int, min_size=dim, max_size=dim)
+        st.lists(entry, min_size=dim, max_size=dim)
     )
     if homogenized:
         cols = [[*c, 1] for c in cols]
