@@ -58,7 +58,6 @@ from .energy import asymptotic_slope, energy_along, energy_at, infimum_estimate
 from .binary_forms import (
     BinaryForm,
     FormPairVerdict,
-    impossible_degree_check,
     mobius_act,
     semistable_bf,
     torus_oracle_bf,
@@ -67,7 +66,6 @@ from .varieties import (
     DegreeReport,
     VarietyDatum,
     degrees,
-    mabuchi_weight_inequality,
     plane_curve_mu,
     variety_pair,
 )
@@ -111,12 +109,10 @@ __all__ = [
     "futaki_classical",
     "futaki_gen",
     "hull_contains",
-    "impossible_degree_check",
     "infimum_estimate",
     "interior_contains",
     "is_admissible",
     "limit_support",
-    "mabuchi_weight_inequality",
     "min_functional",
     "minkowski_sum",
     "mobius_act",

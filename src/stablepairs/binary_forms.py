@@ -168,15 +168,6 @@ def semistable_bf(f: BinaryForm, g: BinaryForm) -> FormPairVerdict:
     return FormPairVerdict(True)
 
 
-def impossible_degree_check(e: int, d: int) -> bool:
-    """True when no pair of degrees (e, d) can be semistable, i.e. e = d - 1.
-
-    Summing the root-order bound over the zeros of g forces
-    d <= e + d * (d - e) / 2, impossible exactly in this gap-one case.
-    """
-    return e == d - 1
-
-
 def mobius_act(matrix: Sequence[Sequence[int]], f: BinaryForm) -> BinaryForm:
     """Projective change of coordinates acting on the roots.
 

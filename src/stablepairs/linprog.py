@@ -4,9 +4,10 @@ Decides whether
 
     A x = b,   x >= 0
 
-has a solution, entirely over `fractions.Fraction`, so feasibility answers
-are sound, not approximate.  A feasible system yields a point x.  When the
-system is infeasible the result carries a dual certificate y with
+has a solution, entirely in exact rationals (`int` and `fractions.Fraction`),
+so feasibility answers are sound, not approximate.  A feasible system
+yields a point x.  When the system is infeasible the result carries a dual
+certificate y with
 
     y . A_j <= 0  for every column j,
     y . b    > 0,
@@ -31,20 +32,27 @@ x off the last column.  Phase 1 is bounded above by 0, so every entering
 column has a row to leave; over a zero right-hand side x = 0 is returned
 before any tableau is built, as the loop would make no pivot.  The set-up
 negates the rows with b < 0 and sums their columns and |b|, the reduced
-costs, on the input numbers, then builds one `Fraction` per entry.  Only
-ints and `Fraction`s are summed as given: any other kind (floats,
+costs, on the input numbers, and the tableau holds those numbers as they
+are: an `int` stays an `int` and a `Fraction` a `Fraction`, and the
+artificial block is the ints 0 and 1, so the set-up builds no `Fraction`.
+Only ints and `Fraction`s are summed as given: any other kind (floats,
 Decimals, strings) is first made its exact `Fraction`, as a Decimal
 negation or sum may round.
 
 A pivot is one sparse update of every row.  The nonzero entries of the
-pivot row are divided and their columns listed once; every other row
-whose entering-column entry is nonzero, the last row too, is updated in
-place on those columns only, so a zero entry (most of the artificial
-block, the zero coordinates of small lattice points) is never touched.
-Bland's entering rule (over x and the artificials) and the ratio test
-(over the rows of A) check the sign of the numerator: a `Fraction`'s
-denominator is always positive.  The ratio test divides nothing: it
-compares integer cross products, with ties to the smaller basis index.
+pivot row are divided by the pivot made a `Fraction`, so the quotients
+are exact, and a pivot of 1 divides nothing; their columns are listed
+once, and every other row whose entering-column entry is nonzero, the
+last row too, is updated in place on those columns only, so a zero entry
+(most of the artificial block, the zero coordinates of small lattice
+points) is never touched.  An all-int system whose pivots are all 1 is
+solved in ints.  Bland's entering rule (over x and the artificials) and
+the ratio test (over the rows of A) check the sign of the numerator: a
+`Fraction`'s denominator is always positive, and an `int` is its own
+numerator over 1.  The ratio test divides nothing: it compares integer
+cross products, with ties to the smaller basis index.  Each entry of x
+or of the Farkas y is made a `Fraction` once, at read-off, so a result
+holds `Fraction`s whatever kind its tableau entries were.
 
 Bland's rule visits each basis at most once, so more pivots than there
 are bases (`_max_pivots`) can only come from a defect; the loop then
@@ -62,7 +70,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _max_pivots(n: int, m: int) -> int:
@@ -116,12 +123,12 @@ def solve_lp(
     if not sums[-1]:
         # x = 0, with no pivot; so too with no rows, where there are no column sums.
         return LPResult(OPTIMAL, x=[_ZERO] * n, objective=_ZERO)
-    zeros = [_ZERO] * m
+    zeros = [0] * m
     tableau = [
-        [*map(Fraction, row), *zeros[:i], _ONE, *zeros[i + 1:], Fraction(abs(b))]
+        [*row, *zeros[:i], 1, *zeros[i + 1:], abs(b)]
         for i, (row, b) in enumerate(zip(flipped, rhs))
     ]
-    rc = [*map(Fraction, sums[:n]), *zeros, Fraction(sums[-1])]
+    rc = [*sums[:n], *zeros, sums[-1]]
     tableau.append(rc)
     basis = [n + i for i in range(m)]
     budget = _max_pivots(n, m)
@@ -146,8 +153,10 @@ def solve_lp(
         prow = tableau[leave]
         piv = prow[entering]
         nz = [j for j, x in enumerate(prow) if x]
-        for j in nz:
-            prow[j] /= piv
+        if piv != 1:
+            piv = Fraction(piv)
+            for j in nz:
+                prow[j] /= piv
         for i, row in enumerate(tableau):
             f = row[entering]
             if f and i != leave:
@@ -158,9 +167,9 @@ def solve_lp(
     if rc[-1] > 0:
         # Simplex multipliers off the artificial columns form the
         # certificate: pi_i = -1 - rc_i.
-        return LPResult(INFEASIBLE, farkas=[flips[i] * (1 + rc[n + i]) for i in range(m)])
+        return LPResult(INFEASIBLE, farkas=[Fraction(flips[i] * (1 + rc[n + i])) for i in range(m)])
     x = [_ZERO] * n
     for r, v in enumerate(basis):
         if v < n:
-            x[v] = tableau[r][-1]
+            x[v] = Fraction(tableau[r][-1])
     return LPResult(OPTIMAL, x=x, objective=_ZERO)

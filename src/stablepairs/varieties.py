@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .lattice import Scalar
-from .pairs import Pair, StabilityProblem, WeightedVector, properness_slope_check
+from .pairs import Pair, StabilityProblem, WeightedVector
 from .polytope import scale
 
 
@@ -110,26 +109,3 @@ def variety_pair(
     v_support = scale(r_data.support, report.deg_hyperdiscriminant)
     w_support = scale(delta_data.support, report.deg_resultant)
     return Pair(WeightedVector(v_support), WeightedVector(w_support), problem)
-
-
-def mabuchi_weight_inequality(
-    r_data: WeightedVector,
-    delta_data: WeightedVector,
-    report: DegreeReport,
-    m: int,
-    deg_e: int,
-    u: Sequence[int],
-    problem: StabilityProblem,
-) -> bool:
-    """Exact weight form of the coercivity inequality along u.
-
-    With W the normalized hyperdiscriminant power and V the normalized
-    resultant power,
-
-        (m+1) (w_u(W) - w_u(V))  <=  deg_e * w_u(identity) - w_u(V),
-
-    where w_u(identity) = min_Q(u): `properness_slope_check` of the
-    normalized pair with q = deg_e.  Holding for every certificate normal
-    is the same as semistability of the matching perturbed pair.
-    """
-    return properness_slope_check(variety_pair(r_data, delta_data, report, problem), m, deg_e, u)

@@ -10,6 +10,10 @@ subset-walk normals.  `kempf_ness_distance` is a second float formula
 for the energy.
 `facet_weight_semistable` is the one package-side criterion path here,
 and `weight` the minimum pairing the destabilizer checks read.
+`impossible_degree_check` (the gap-one degrees of binary forms) and
+`mabuchi_weight_inequality` (the coercivity inequality of a variety's
+normalized pair) are the closed forms the binary-forms and varieties tests
+state against the package's verdicts.
 `reference_solve_lp` is a plainer simplex, the differential oracle for
 `linprog.solve_lp`, `reference_line` the energy probe through a
 generic log-sum-exp, the bit-identity oracle for `energy._Line`, and
@@ -37,6 +41,8 @@ from stablepairs import (
     cross_polytope,
     energy_at,
     futaki_gen,
+    properness_slope_check,
+    variety_pair,
 )
 from stablepairs.linprog import INFEASIBLE, OPTIMAL, LPResult
 
@@ -535,6 +541,32 @@ def facet_weight_semistable(p: Pair) -> bool:
     must be nonpositive on every certificate normal of the w-polytope."""
     normals = certificate_normals(p.w.support, p.problem.ctx)
     return all(futaki_gen(u, p) <= 0 for u in normals)
+
+
+def impossible_degree_check(e: int, d: int) -> bool:
+    """True when no pair of binary forms of degrees (e, d) can be
+    semistable, i.e. e = d - 1.
+
+    Summing the root-order bound over the zeros of g forces
+    d <= e + d * (d - e) / 2, impossible exactly in this gap-one case.
+    """
+    return e == d - 1
+
+
+def mabuchi_weight_inequality(r_data, delta_data, report, m, deg_e, u, problem) -> bool:
+    """Exact weight form of the coercivity inequality along u.
+
+    With W the normalized hyperdiscriminant power and V the normalized
+    resultant power,
+
+        (m+1) (w_u(W) - w_u(V))  <=  deg_e * w_u(identity) - w_u(V),
+
+    where w_u(identity) = min_Q(u): `properness_slope_check` of the
+    normalized pair (`variety_pair`) with q = deg_e.  Holding for every
+    certificate normal is the same as semistability of the matching
+    perturbed pair.
+    """
+    return properness_slope_check(variety_pair(r_data, delta_data, report, problem), m, deg_e, u)
 
 
 def _o_log_norm_sq(vec, s):

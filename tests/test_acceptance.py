@@ -24,7 +24,6 @@ from stablepairs import (
     energy_at,
     find_degeneration,
     futaki_gen,
-    impossible_degree_check,
     limit_support,
     perturb,
     plane_curve_mu,
@@ -42,6 +41,7 @@ from helpers import (
     box_search_degeneration,
     brute_hull_contains,
     facet_weight_semistable,
+    impossible_degree_check,
     kempf_ness_distance,
     random_binary_form,
     random_pair,

@@ -6,14 +6,13 @@ import pytest
 
 from stablepairs import (
     BinaryForm,
-    impossible_degree_check,
     mobius_act,
     semistable_bf,
     torus_oracle_bf,
 )
 from stablepairs.binary_forms import critical_points, normalize_root
 
-from helpers import random_binary_form
+from helpers import impossible_degree_check, random_binary_form
 
 ONE = BinaryForm.constant()
 

@@ -33,6 +33,12 @@ def _farkas_separates(y, rows, rhs):
     )
 
 
+def _all_fractions(res):
+    """Every entry of x or of the Farkas y is a `Fraction`: `Fraction(1) == 1`,
+    so the field-for-field `==` alone would not see an `int` leak out."""
+    return all(type(v) is Fraction for v in res.x or res.farkas)
+
+
 def test_infeasible_with_certificate():
     # x + y = -1, x, y >= 0
     res = solve_lp([0, 0], [[1, 1]], [-1], [True, True])
@@ -186,6 +192,7 @@ def test_cone_feasibility_matches_reference_exactly(lp):
     n = len(rows[0])
     res = solve_lp([0] * n, rows, rhs, [True] * n)
     assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+    assert _all_fractions(res)
 
 
 def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
@@ -242,6 +249,40 @@ def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
     assert len(posed) >= 400
     for _, args, res in posed:
         assert res == reference_solve_lp(*args)
+        assert _all_fractions(res)
+
+
+@pytest.mark.parametrize("rows, rhs, read_off", [
+    ([[1, 0, 1], [0, 1, 1]], [2, 3], [2, 3]),    # x = (2, 3, 0)
+    ([[1, 1], [1, 1]], [1, 2], [-1, 1]),         # y = (-1, 1)
+], ids=["feasible", "infeasible"])
+def test_unit_pivots_build_no_fraction_before_read_off(monkeypatch, rows, rhs, read_off):
+    """An all-int LP whose every pivot is 1 stays in ints: the only
+    `Fraction`s built are the entries of x or y, once each, at read-off."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(stablepairs.linprog, "Fraction", counting)
+    n = len(rows[0])
+    res = solve_lp([0] * n, rows, rhs, [True] * n)
+    assert built == [(v,) for v in read_off]
+    assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+    assert _all_fractions(res)
+
+
+@pytest.mark.parametrize("rows, rhs, expected", [
+    ([[2, 0, 1], [0, 1, 1]], [3, 1], [Fraction(3, 2), 1, 0]),   # pivots 2, then 1
+    ([[2, 1], [2, 1]], [1, 2], [-1, 1]),                         # pivot 2, infeasible
+], ids=["feasible", "infeasible"])
+def test_a_pivot_of_two_divides_its_row_exactly(rows, rhs, expected):
+    n = len(rows[0])
+    res = solve_lp([0] * n, rows, rhs, [True] * n)
+    assert (res.x or res.farkas) == expected
+    assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+    assert _all_fractions(res)
 
 
 @pytest.mark.parametrize("rows, nonneg", [

@@ -12,7 +12,6 @@ from stablepairs import (
     degree_of,
     degrees,
     futaki_gen,
-    mabuchi_weight_inequality,
     perturb,
     plane_curve_mu,
     scale,
@@ -20,7 +19,7 @@ from stablepairs import (
     variety_pair,
 )
 
-from helpers import random_pair, weight
+from helpers import mabuchi_weight_inequality, random_pair, weight
 
 
 class TestVarietyDatum:
