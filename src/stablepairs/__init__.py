@@ -42,7 +42,6 @@ from .pairs import (
     degree_of,
     futaki_gen,
     perturb,
-    properness_slope_check,
     relative_invariant,
     stable,
     t_semistable,
@@ -67,7 +66,6 @@ from .varieties import (
     VarietyDatum,
     degrees,
     plane_curve_mu,
-    variety_pair,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +117,6 @@ __all__ = [
     "pair",
     "perturb",
     "plane_curve_mu",
-    "properness_slope_check",
     "relative_invariant",
     "scale",
     "semistable_bf",
@@ -128,5 +125,4 @@ __all__ = [
     "stable",
     "t_semistable",
     "torus_oracle_bf",
-    "variety_pair",
 ]

@@ -188,22 +188,6 @@ def _require_bounded_hull(pair: Pair, name: str, points: PointSet) -> None:
         )
 
 
-def serialize_pair(pair: Pair) -> dict:
-    def vec(wv: WeightedVector) -> dict:
-        return {
-            "support": [list(p) for p in wv.support.points],
-            "magnitudes": [str(m) for m in wv.magnitudes],
-        }
-
-    return {
-        "rank": pair.problem.rank,
-        "constraints": [list(c) for c in pair.problem.constraints],
-        "Q": [list(p) for p in pair.problem.q_polytope.points],
-        "v": vec(pair.v),
-        "w": vec(pair.w),
-    }
-
-
 def load_pair(path: str) -> Pair:
     try:
         with open(path) as fh:

@@ -12,7 +12,8 @@ number, and is bounded below exactly when the pair is semistable.
 
 This is the one floating-point module; the boundedness dichotomy it
 touches is decided exactly on the certificate normals of the w-polytope,
-and the exact slope form of the properness inequality lives in `pairs`.
+and the exact slope form of the properness inequality is the one that
+`stable` checks, in `pairs`.
 
 `infimum_estimate` probes the energy only along lines s0 + t d.  Per line
 each support point a contributes a base log|c_a|^2 + 2<s0, a> and a slope

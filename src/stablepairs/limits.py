@@ -65,7 +65,7 @@ def find_degeneration(
     the differences b - b0 (b0 the first point of B) and separates b0 from
     conv(A minus B).  By Gordan's theorem it exists exactly when b0 lies
     outside conv(A minus B) + L, and then it is the separating functional of
-    that containment question, cleared to a primitive integer covector.
+    that containment question, an integer covector made primitive.
     Returns None when B is not a limit support.
     """
     A = _as_pointset(A)

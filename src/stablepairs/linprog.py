@@ -40,19 +40,21 @@ Decimals, strings) is first made its exact `Fraction`, as a Decimal
 negation or sum may round.
 
 A pivot is one sparse update of every row.  The nonzero entries of the
-pivot row are divided by the pivot made a `Fraction`, so the quotients
-are exact, and a pivot of 1 divides nothing; their columns are listed
-once, and every other row whose entering-column entry is nonzero, the
-last row too, is updated in place on those columns only, so a zero entry
-(most of the artificial block, the zero coordinates of small lattice
-points) is never touched.  An all-int system whose pivots are all 1 is
-solved in ints.  Bland's entering rule (over x and the artificials) and
-the ratio test (over the rows of A) check the sign of the numerator: a
-`Fraction`'s denominator is always positive, and an `int` is its own
-numerator over 1.  The ratio test divides nothing: it compares integer
-cross products, with ties to the smaller basis index.  Each entry of x
-or of the Farkas y is made a `Fraction` once, at read-off, so a result
-holds `Fraction`s whatever kind its tableau entries were.
+pivot row are divided by the pivot, exactly: a pivot of 1 divides
+nothing, an exact quotient of an `int` pivot stays the `int` x // piv,
+and only an inexact one, or a `Fraction` pivot, builds a `Fraction`.
+Their columns are listed once, and every other row whose entering-column
+entry is nonzero, the last row too, is updated in place on those columns
+only, so a zero entry (most of the artificial block, the zero
+coordinates of small lattice points) is never touched.  An all-int
+system whose pivots are all 1 is solved in ints.  Bland's entering rule
+(over x and the artificials) and the ratio test (over the rows of A)
+check the sign of the numerator: a `Fraction`'s denominator is always
+positive, and an `int` is its own numerator over 1.  The ratio test
+divides nothing: it compares integer cross products, with ties to the
+smaller basis index.  Each entry of x or of the Farkas y is made a
+`Fraction` once, at read-off, so a result holds `Fraction`s whatever kind
+its tableau entries were.
 
 Bland's rule visits each basis at most once, so more pivots than there
 are bases (`_max_pivots`) can only come from a defect; the loop then
@@ -153,10 +155,13 @@ def solve_lp(
         prow = tableau[leave]
         piv = prow[entering]
         nz = [j for j, x in enumerate(prow) if x]
-        if piv != 1:
-            piv = Fraction(piv)
+        if type(piv) is not int:
             for j in nz:
                 prow[j] /= piv
+        elif piv != 1:
+            for j in nz:
+                x = prow[j]
+                prow[j] = Fraction(x, piv) if x % piv else x // piv
         for i, row in enumerate(tableau):
             f = row[entering]
             if f and i != leave:

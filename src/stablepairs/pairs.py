@@ -242,13 +242,6 @@ class WeightedVector:
         """Natural logs of the squared magnitudes, aligned with the support."""
         return tuple(map(_log_magnitude, self.magnitudes))
 
-    def magnitude_of(self, p: Sequence[int]) -> Fraction:
-        key = lattice_point(p)
-        for q, m in zip(self.support.points, self.magnitudes):
-            if q == key:
-                return m
-        raise KeyError(f"{key} not in support")
-
 
 @dataclass(frozen=True)
 class Pair:
@@ -317,8 +310,8 @@ def t_semistable(p: Pair) -> Verdict:
     modulo the constraint directions: one containment LP per v-point
     outside the w-support.  If every point lies inside, the verdict keeps
     the convex weights of each.  Otherwise some point escapes, the
-    separating functional of its failed LP is cleared to a primitive
-    integer covector, and that covector destabilizes: its weight on w
+    integer separating functional of its failed LP is made primitive,
+    and that covector destabilizes: its weight on w
     strictly exceeds its weight on v (`futaki_gen` > 0).
     """
     ctx = p.problem.ctx
@@ -386,18 +379,6 @@ def _slope_offset(p: Pair, q: int, u: Sequence[int], xw: list[int]) -> int:
     """b with futaki_gen(u, perturb(p, m, q)) == futaki_gen(u, p) * m + b
     for every m, from the pairings xw of u with the w-support."""
     return min(xw) - q * min_functional(p.problem.q_polytope, u)
-
-
-def properness_slope_check(p: Pair, m: int, q: int, u: Sequence[int]) -> bool:
-    """Slope form of the properness inequality along u, exact in integers:
-    the coercive estimate for the degree-m perturbation amounts to
-
-        (m+1) * min <u, W>  <=  q * min <u, Q> + m * min <u, V>
-
-    over the w-support W, the reference polytope Q and the v-support V.
-    """
-    a, xw, _ = _futaki_pairings(u, p)
-    return a * m + _slope_offset(p, q, u, xw) <= 0
 
 
 def stable(p: Pair, m_max: int) -> StableVerdict:

@@ -9,7 +9,8 @@ hull question is one cone-membership LP in quotient coordinates
 `containment` asks whether a point lies in a hull by one such LP and
 returns a checked certificate either way: the convex weights of a feasible
 LP, or the separating functional read off the Farkas certificate of an
-infeasible one, lifted through F (`ContainmentContext.lift`).
+infeasible one: cleared to integers once and lifted through F
+(`ContainmentContext.lift`).
 `convex_combination` and `separating_functional` are its two halves.
 
 Facet enumeration exists only in `certificate_normals`, which runs the
@@ -32,7 +33,6 @@ from typing import Iterable, Iterator, Sequence
 from .lattice import (
     LatticePoint,
     OnePS,
-    RationalFunctional,
     Scalar,
     dot,
     lattice_point,
@@ -182,13 +182,14 @@ class Containment:
     """The answer to one containment question, x in conv(A) + span(directions).
 
     Exactly one field is set.  `weights` are convex weights of x, aligned
-    with the sorted points of A; `separator` is a rational g with
-    <g, x> < min over A of <g, a>, vanishing on the directions.  Each was
-    checked exactly before it was returned.
+    with the sorted points of A; `separator` is an integer g with
+    <g, x> < min over A of <g, a>, vanishing on the directions: an
+    integer positive multiple of -y lifted through F, y the LP's Farkas
+    certificate.  Each was checked exactly before it was returned.
     """
 
     weights: tuple[Fraction, ...] | None = None
-    separator: RationalFunctional | None = None
+    separator: OnePS | None = None
 
 
 def containment(
@@ -200,8 +201,10 @@ def containment(
     certificate either way.
 
     A feasible LP gives the convex weights of x, checked against the LP's
-    own columns.  An infeasible one gives the Farkas certificate, lifted
-    through F to a separating functional and checked against every point.
+    own columns.  An infeasible one gives the Farkas certificate y: it is
+    cleared to integers once (`linalg.integral`), and that positive
+    multiple, negated, is lifted through F in integers to the separating
+    functional, checked against every point.
     A certificate that fails its check raises RuntimeError.
     """
     A = _as_pointset(A)
@@ -214,13 +217,13 @@ def containment(
         if not _combines(columns, weights, target):
             raise RuntimeError("internal: convex weights failed verification")
         return Containment(weights=weights)
-    # -y pairs below on (Fx, 1) than on every (Fa, 1); lift it through F.
-    g = tuple(ctx.lift([-y for y in res.farkas[:-1]]))
-    # Checked in integers, on the positive multiple of g that clears it.
-    _, (gi,) = linalg.integral([g])
-    gx = dot(gi, x)
-    if any(dot(gi, d) for d in ctx.mod_directions) or not all(
-        gx < dot(gi, p) for p in A.points
+    # -y pairs below on (Fx, 1) than on every (Fa, 1); cleared to integers
+    # once, its positive multiple lifts through F in integers.
+    _, (y,) = linalg.integral([res.farkas[:-1]])
+    g = tuple(ctx.lift([-c for c in y]))
+    gx = dot(g, x)
+    if any(dot(g, d) for d in ctx.mod_directions) or not all(
+        gx < dot(g, p) for p in A.points
     ):
         raise RuntimeError("internal: separation certificate failed verification")
     return Containment(separator=g)
@@ -287,12 +290,13 @@ def separating_functional(
     A: PointSet | Iterable[Sequence[Scalar]],
     x: Sequence[Scalar],
     ctx: ContainmentContext = NO_CONTEXT,
-) -> RationalFunctional:
-    """A rational g with <g, x> < min over A of <g, a>, vanishing on the
+) -> OnePS:
+    """An integer g with <g, x> < min over A of <g, a>, vanishing on the
     quotient directions.
 
-    This is the Farkas certificate of the infeasible containment LP.
-    Calling it on a contained point is an error.
+    This is the Farkas certificate y of the infeasible containment LP, as
+    the integer positive multiple of -y lifted through F; it need not be
+    primitive.  Calling it on a contained point is an error.
     """
     g = containment(A, x, ctx).separator
     if g is None:

@@ -1,13 +1,13 @@
 """Degree bookkeeping for the resultant / hyperdiscriminant pair of a
-projective variety, and the associated stability data.
+projective variety.
 
 For an n-dimensional degree-d subvariety of projective N-space with
 average scalar curvature mu, the Cayley-Chow form has degree d(n+1) and
 the hyperdiscriminant degree n(n+1)d - d*mu; the normalized pair raises
 each to the other's degree, giving a common degree r whose partitions
 locate the two irreducible modules.  Computing the actual forms from
-defining ideals is out of scope; this module works at the level of degrees
-and user-supplied weight data.
+defining ideals is out of scope; this module works at the level of
+degrees.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Scalar
-from .pairs import Pair, StabilityProblem, WeightedVector
-from .polytope import scale
 
 
 @dataclass(frozen=True)
@@ -91,21 +89,3 @@ def degrees(vd: VarietyDatum, genus: int | None = None) -> DegreeReport:
     lam = (r // (n + 1),) * (n + 1) + (0,) * (N - n)
     mu_part = (r // n,) * n + (0,) * (N + 1 - n)
     return DegreeReport(deg_r, deg_delta, r, lam, mu_part)
-
-
-def variety_pair(
-    r_data: WeightedVector,
-    delta_data: WeightedVector,
-    report: DegreeReport,
-    problem: StabilityProblem,
-) -> Pair:
-    """The normalized pair at the weight-data level.
-
-    Raising a vector to a tensor power scales its support, so the v side is
-    the resultant support scaled by the hyperdiscriminant degree and the w
-    side the other way around.  The result feeds the general (semi)stability
-    machinery unchanged.
-    """
-    v_support = scale(r_data.support, report.deg_hyperdiscriminant)
-    w_support = scale(delta_data.support, report.deg_resultant)
-    return Pair(WeightedVector(v_support), WeightedVector(w_support), problem)

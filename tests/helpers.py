@@ -10,10 +10,14 @@ subset-walk normals.  `kempf_ness_distance` is a second float formula
 for the energy.
 `facet_weight_semistable` is the one package-side criterion path here,
 and `weight` the minimum pairing the destabilizer checks read.
-`impossible_degree_check` (the gap-one degrees of binary forms) and
-`mabuchi_weight_inequality` (the coercivity inequality of a variety's
-normalized pair) are the closed forms the binary-forms and varieties tests
-state against the package's verdicts.
+`impossible_degree_check` (the gap-one degrees of binary forms),
+`properness_slope_check` (the slope form of the properness inequality),
+`variety_pair` (a variety's normalized pair at the weight-data level) and
+`mabuchi_weight_inequality` (its coercivity inequality) are the closed
+forms the energy, binary-forms and varieties tests state against the
+package's verdicts.  `magnitude_of` reads one squared magnitude of a
+weighted vector, and `serialize_pair` writes a pair as the CLI's problem
+JSON, the inverse the CLI tests hold `cli.parse_problem` to.
 `reference_solve_lp` is a plainer simplex, the differential oracle for
 `linprog.solve_lp`, `reference_line` the energy probe through a
 generic log-sum-exp, the bit-identity oracle for `energy._Line`, and
@@ -41,8 +45,7 @@ from stablepairs import (
     cross_polytope,
     energy_at,
     futaki_gen,
-    properness_slope_check,
-    variety_pair,
+    scale,
 )
 from stablepairs.linprog import INFEASIBLE, OPTIMAL, LPResult
 
@@ -553,6 +556,31 @@ def impossible_degree_check(e: int, d: int) -> bool:
     return e == d - 1
 
 
+def properness_slope_check(p: Pair, m: int, q: int, u) -> bool:
+    """Slope form of the properness inequality along u, exact in integers:
+    the coercive estimate for the degree-m perturbation amounts to
+
+        (m+1) * min <u, W>  <=  q * min <u, Q> + m * min <u, V>
+
+    over the w-support W, the reference polytope Q and the v-support V.
+    """
+    cons = p.problem.constraints
+    q_min = min(_o_dot(u, a) for a in p.problem.q_polytope)
+    return (m + 1) * weight(u, p.w, cons) <= q * q_min + m * weight(u, p.v, cons)
+
+
+def variety_pair(r_data: WeightedVector, delta_data: WeightedVector, report, problem) -> Pair:
+    """The normalized pair at the weight-data level.
+
+    Raising a vector to a tensor power scales its support, so the v side is
+    the resultant support scaled by the hyperdiscriminant degree and the w
+    side the other way around.
+    """
+    v_support = scale(r_data.support, report.deg_hyperdiscriminant)
+    w_support = scale(delta_data.support, report.deg_resultant)
+    return Pair(WeightedVector(v_support), WeightedVector(w_support), problem)
+
+
 def mabuchi_weight_inequality(r_data, delta_data, report, m, deg_e, u, problem) -> bool:
     """Exact weight form of the coercivity inequality along u.
 
@@ -706,6 +734,33 @@ ROOT_POOL = [
     (0, 1), (1, 0), (1, 1), (-1, 1), (2, 1), (1, 2), (-1, 2), (-2, 1),
     (3, 1), (1, 3), (3, 2), (-3, 2), (5, 2), (2, 3),
 ]
+
+
+def magnitude_of(wv: WeightedVector, p) -> Fraction:
+    """The squared magnitude of the support point p of wv."""
+    key = tuple(p)
+    for q, m in zip(wv.support.points, wv.magnitudes):
+        if q == key:
+            return m
+    raise KeyError(f"{key} not in support")
+
+
+def serialize_pair(pair: Pair) -> dict:
+    """The pair as the CLI's problem JSON: rank, constraints, Q, v and w,
+    each vector its support and its magnitudes as strings."""
+    def vec(wv: WeightedVector) -> dict:
+        return {
+            "support": [list(p) for p in wv.support.points],
+            "magnitudes": [str(m) for m in wv.magnitudes],
+        }
+
+    return {
+        "rank": pair.problem.rank,
+        "constraints": [list(c) for c in pair.problem.constraints],
+        "Q": [list(p) for p in pair.problem.q_polytope.points],
+        "v": vec(pair.v),
+        "w": vec(pair.w),
+    }
 
 
 def random_problem(rng: random.Random, rank: int) -> StabilityProblem:

@@ -15,10 +15,15 @@ import pytest
 from stablepairs import (
     Pair,
     PointSet,
+    StabilityProblem,
+    StableVerdict,
     VarietyDatum,
+    Verdict,
     WeightedVector,
     affine_span_test,
     asymptotic_slope,
+    certificate_normals,
+    cross_polytope,
     degree_of,
     degrees,
     energy_at,
@@ -38,6 +43,8 @@ from stablepairs.lattice import dot, is_admissible
 from stablepairs.linalg import in_span
 
 from helpers import (
+    _o_in_span,
+    _o_rref,
     box_search_degeneration,
     brute_hull_contains,
     facet_weight_semistable,
@@ -355,4 +362,141 @@ def test_criterion_10_degree_arithmetic():
     report(
         "10. degree report for the plane conic and the plane-curve dual-degree oracle",
         conic_ok and oracle_ok,
+    )
+
+
+# Criterion 11: the symmetries of a problem act on its verdicts.
+
+
+def _symmetry_instances():
+    """Seeded acceptance pairs of ranks 2-4 on free and trace-zero
+    problems with the cross-polytope reference: random supports, and v
+    drawn inside a box of w-points, so that semistable and stable pairs
+    occur too."""
+    rng = random.Random(0x5E77)
+    pairs = []
+    for rank in (2, 3, 4):
+        box = list(itertools.product((-2, 2), repeat=rank))
+        for constraints in ([], [(1,) * rank]):
+            problem = StabilityProblem(rank, constraints, cross_polytope(rank))
+            for _ in range(8):
+                p = random_pair(rng, rank, max_points=6, lo=-3, hi=3)
+                pairs.append(Pair(p.v, p.w, problem))
+            for _ in range(4):
+                v = {tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in range(3)}
+                w = rng.sample(box, rng.randint(rank + 1, len(box)))
+                pairs.append(Pair(WeightedVector(v), WeightedVector(w), problem))
+    return pairs
+
+
+def _symmetries(rng, p):
+    """(name, action on points, action on covectors) for a coordinate
+    permutation, a common translation and, on free problems, a coordinate
+    sign flip.  Each fixes the constraints and the reference polytope."""
+    rank = p.problem.rank
+    perm = list(range(rank))
+    while perm == sorted(perm):
+        rng.shuffle(perm)
+    shift = [rng.randint(-3, 3) for _ in range(rank)]
+    signs = [rng.choice((-1, 1)) for _ in range(rank)]
+    permute = lambda a: tuple(a[i] for i in perm)
+    flip = lambda a: tuple(s * c for s, c in zip(signs, a))
+    yield "permutation", permute, permute
+    yield "translation", lambda a: tuple(c + t for c, t in zip(a, shift)), tuple
+    if not p.problem.constraints:
+        yield "sign flip", flip, flip
+
+
+def _acted_pair(p, act):
+    def vec(wv):
+        return WeightedVector({act(a): m for a, m in zip(wv.support.points, wv.magnitudes)})
+
+    return Pair(vec(p.v), vec(p.w), p.problem)
+
+
+def _acted_verdict(verdict, p, act, act_u, image):
+    """The verdict of p carried to its image: the witness through act_u,
+    the convex weights re-aligned with the sorted w-support of the image."""
+    if not verdict.semistable:
+        return Verdict(False, act_u(verdict.witness))
+    weights = {}
+    for a, lam in verdict.weights.items():
+        by_point = dict(zip(map(act, p.w.support.points), lam))
+        weights[act(a)] = tuple(by_point[b] for b in image.w.support.points)
+    return Verdict(True, weights=weights)
+
+
+def _verdict_verifies(p, verdict):
+    """The witness has an exact weight gap, or the convex weights of every
+    v-point outside the w-support combine the w-points to it modulo the
+    constraints, in this test's own arithmetic."""
+    cons = p.problem.constraints
+    if not verdict.semistable:
+        u = verdict.witness
+        return is_admissible(u, cons) and weight(u, p.w, cons) > weight(u, p.v, cons)
+    W = p.w.support.points
+    if set(verdict.weights) != {a for a in p.v.support if a not in p.w.support}:
+        return False
+    for a, lam in verdict.weights.items():
+        if len(lam) != len(W) or sum(lam) != 1 or min(lam) < 0:
+            return False
+        combo = [sum(l * b[i] for l, b in zip(lam, W)) for i in range(len(a))]
+        if not _o_in_span(cons, [c - x for c, x in zip(combo, a)]):
+            return False
+    return True
+
+
+def _full_dimensional(points, constraints):
+    offsets = [[a - b for a, b in zip(q, points[0])] for q in points[1:]]
+    return len(_o_rref([*offsets, *constraints])[0]) == len(points[0])
+
+
+def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
+    """Permuting coordinates, translating both supports and (on free
+    problems) flipping coordinate signs leaves every `t_semistable`
+    verdict unchanged, and each certificate moves with the symmetry: the
+    image's witness verifies on the image, the original witness carried
+    over verifies too, and the certificate normals of a full-dimensional
+    w-hull are carried to those of its image.  `stable` is compared under
+    the permutations and sign flips alone, which fix the reference
+    polytope Q: a translation moves both supports against Q, and with them
+    the module degree and the perturbed pairs.  The energy estimate is not
+    compared (it depends on the coordinate order)."""
+    rng = random.Random(0x5E78)
+    checks = mismatches = stable_checks = normal_checks = 0
+    kinds = set()
+    for p in _symmetry_instances():
+        verdict = t_semistable(p)
+        base_stable = stable(p, 4)
+        ctx = p.problem.ctx
+        full = _full_dimensional(p.w.support.points, p.problem.constraints)
+        normals = certificate_normals(p.w.support, ctx) if full else ()
+        for name, act, act_u in _symmetries(rng, p):
+            image = _acted_pair(p, act)
+            image_verdict = t_semistable(image)
+            kinds.add((name, verdict.semistable))
+            checks += 1
+            ok = (
+                image_verdict.semistable == verdict.semistable
+                and _verdict_verifies(image, image_verdict)
+                and _verdict_verifies(image, _acted_verdict(verdict, p, act, act_u, image))
+            )
+            if name != "translation":
+                s = stable(image, 4)
+                ok = ok and (s.status, s.exponent) == (base_stable.status, base_stable.exponent)
+                stable_checks += base_stable.status != StableVerdict.UNSTABLE_BASE
+            if full:
+                normal_checks += 1
+                image_normals = certificate_normals(image.w.support, ctx)
+                ok = ok and set(image_normals) == set(map(act_u, normals))
+            mismatches += not ok
+    names = ("permutation", "translation", "sign flip")
+    report(
+        "11. verdicts, witnesses and certificate normals transform with the symmetries",
+        mismatches == 0
+        and kinds == {(n, s) for n in names for s in (False, True)}
+        and stable_checks >= 20
+        and normal_checks >= 50,
+        f"{checks} images, {stable_checks} stable checks past the base, "
+        f"{normal_checks} normal sets, {mismatches} mismatches",
     )

@@ -32,10 +32,9 @@ from stablepairs.cli import (
     MAX_VARIETY_N,
     main,
     parse_problem,
-    serialize_pair,
 )
 
-from helpers import random_binary_form
+from helpers import random_binary_form, serialize_pair
 
 
 @pytest.fixture

@@ -24,7 +24,6 @@ from stablepairs import (
     futaki_gen,
     infimum_estimate,
     perturb,
-    properness_slope_check,
     t_semistable,
 )
 
@@ -34,6 +33,7 @@ from helpers import (
     _log_sum_exp,
     _o_rref,
     kempf_ness_distance,
+    properness_slope_check,
     random_magnitudes,
     random_pair,
     random_problem,

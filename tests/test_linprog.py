@@ -273,6 +273,31 @@ def test_unit_pivots_build_no_fraction_before_read_off(monkeypatch, rows, rhs, r
     assert _all_fractions(res)
 
 
+@pytest.mark.parametrize("rows, rhs, read_off", [
+    ([[2, 0, 4], [0, 1, 1]], [6, 3], [3, 3]),    # pivots 2, then 1: x = (3, 3, 0)
+    ([[2, 4], [2, 4]], [2, 6], [-1, 1]),         # pivot 2: y = (-1, 1)
+], ids=["feasible", "infeasible"])
+def test_a_pivot_keeps_its_exact_quotients_int(monkeypatch, rows, rhs, read_off):
+    """A pivot of 2 on an all-int row whose A entries and right-hand side
+    are even keeps those quotients ints: before read-off the one `Fraction`
+    built is 1/2, the quotient of the row's own artificial entry.  That one
+    is never exact: over unit pivots the artificial block is an integer
+    matrix of determinant 1, so none of its rows is divisible by a pivot
+    above 1."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(stablepairs.linprog, "Fraction", counting)
+    n = len(rows[0])
+    res = solve_lp([0] * n, rows, rhs, [True] * n)
+    assert built == [(1, 2), *[(v,) for v in read_off]]
+    assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+    assert _all_fractions(res)
+
+
 @pytest.mark.parametrize("rows, rhs, expected", [
     ([[2, 0, 1], [0, 1, 1]], [3, 1], [Fraction(3, 2), 1, 0]),   # pivots 2, then 1
     ([[2, 1], [2, 1]], [1, 2], [-1, 1]),                         # pivot 2, infeasible

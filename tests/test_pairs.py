@@ -34,6 +34,7 @@ from helpers import (
     _o_in_span,
     brute_hull_contains,
     facet_weight_semistable,
+    magnitude_of,
     random_pair,
     scan_degree,
     scan_stable,
@@ -73,7 +74,7 @@ class TestWeightedVector:
 
     def test_mapping_constructor(self):
         wv = WeightedVector({(0, 1): Fraction(1, 2), (1, 0): 3})
-        assert wv.magnitude_of((0, 1)) == Fraction(1, 2)
+        assert magnitude_of(wv, (0, 1)) == Fraction(1, 2)
 
     def test_positive_magnitudes_enforced(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,13 @@ from stablepairs import (
 )
 from stablepairs.lattice import dot
 
-from helpers import _o_in_span, _o_rref, brute_hull_contains, subset_walk_normals
+from helpers import (
+    _o_in_span,
+    _o_rref,
+    brute_hull_contains,
+    reference_solve_lp,
+    subset_walk_normals,
+)
 
 CTX11 = ContainmentContext([(1, 1)])
 
@@ -218,6 +224,17 @@ def test_separation_certificates_on_random_outsiders(data):
         assert g == answer.separator
         assert all(dot(g, d) == 0 for d in dirs)
         assert dot(g, [Fraction(c) for c in x]) < min(dot(g, p) for p in A.points)
+        # g holds ints, a positive multiple of -y lifted through F, for y the
+        # reference simplex's Farkas certificate on the columns (Fa, 1) and
+        # the target (Fx, 1).
+        assert all(type(c) is int for c in g)
+        F = ctx.covectors(dim)
+        rows = [[dot(f, a) for a in A.points] for f in F] + [[1] * len(A)]
+        rhs = [dot(f, x) for f in F] + [1]
+        y = reference_solve_lp([0] * len(A), rows, rhs, [True] * len(A)).farkas
+        lifted = [-sum(yi * f[j] for yi, f in zip(y, F)) for j in range(dim)]
+        assert dot(g, lifted) > 0
+        assert all(gi * lj == gj * li for gi, li in zip(g, lifted) for gj, lj in zip(g, lifted))
 
 
 def test_is_convex_combination_rejects_wrong_weights():

@@ -16,10 +16,9 @@ from stablepairs import (
     plane_curve_mu,
     scale,
     t_semistable,
-    variety_pair,
 )
 
-from helpers import mabuchi_weight_inequality, random_pair, weight
+from helpers import mabuchi_weight_inequality, random_pair, variety_pair, weight
 
 
 class TestVarietyDatum:
