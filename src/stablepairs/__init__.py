@@ -9,11 +9,9 @@ energy module is the single floating-point consumer of the weighted data.
 from .lattice import (
     LatticePoint,
     OnePS,
-    RationalFunctional,
     clear_denominators,
     dot,
     is_admissible,
-    pair,
 )
 from .polytope import (
     Containment,
@@ -81,7 +79,6 @@ __all__ = [
     "OnePS",
     "Pair",
     "PointSet",
-    "RationalFunctional",
     "StabilityProblem",
     "StabilizerSubtorus",
     "StableVerdict",
@@ -114,7 +111,6 @@ __all__ = [
     "min_functional",
     "minkowski_sum",
     "mobius_act",
-    "pair",
     "perturb",
     "plane_curve_mu",
     "relative_invariant",

@@ -18,7 +18,6 @@ from .linalg import integral
 Scalar = int | Fraction
 LatticePoint = tuple[int, ...]
 OnePS = tuple[int, ...]
-RationalFunctional = tuple[Fraction, ...]
 
 
 def lattice_point(coords: Iterable[Scalar]) -> LatticePoint:
@@ -52,15 +51,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
-
-
-def pair(u: Sequence[int], m: Sequence[int]) -> int:
-    """Pairing <u, m> between the 1-PS lattice and the character lattice.
-
-    This is the exponent through which the character m sees the
-    one-parameter subgroup attached to u.
-    """
-    return dot(u, m)
 
 
 def is_admissible(u: Sequence[int], constraints: Iterable[Sequence[int]]) -> bool:

@@ -39,22 +39,30 @@ Only ints and `Fraction`s are summed as given: any other kind (floats,
 Decimals, strings) is first made its exact `Fraction`, as a Decimal
 negation or sum may round.
 
-A pivot is one sparse update of every row.  The nonzero entries of the
-pivot row are divided by the pivot, exactly: a pivot of 1 divides
-nothing, an exact quotient of an `int` pivot stays the `int` x // piv,
-and only an inexact one, or a `Fraction` pivot, builds a `Fraction`.
-Their columns are listed once, and every other row whose entering-column
-entry is nonzero, the last row too, is updated in place on those columns
-only, so a zero entry (most of the artificial block, the zero
-coordinates of small lattice points) is never touched.  An all-int
-system whose pivots are all 1 is solved in ints.  Bland's entering rule
-(over x and the artificials) and the ratio test (over the rows of A)
-check the sign of the numerator: a `Fraction`'s denominator is always
-positive, and an `int` is its own numerator over 1.  The ratio test
-divides nothing: it compares integer cross products, with ties to the
-smaller basis index.  Each entry of x or of the Farkas y is made a
-`Fraction` once, at read-off, so a result holds `Fraction`s whatever kind
-its tableau entries were.
+Each row of A is stored as a positive multiple of its true row: the
+multiple is the row's own entry in its basic column, 1 while that column
+is its artificial and the pivot value once the row has pivoted (positive,
+as the ratio test takes only rows with a positive entering entry).  A
+pivot is one sparse update of every row.  The pivot row is left as it is.
+Every other row whose entering-column entry f is nonzero, the last row
+too, subtracts f / piv times the pivot row on the pivot row's nonzero
+columns only, so a zero entry (most of the artificial block, the zero
+coordinates of small lattice points) is never touched, and its entering
+entry is set to 0.  The multiplier is f itself for a pivot of 1, the
+`int` f // piv when both are ints and the division is exact, and one
+`Fraction` otherwise, so an all-int system whose multipliers are all
+exact is solved in ints.  The last row never pivots, so its multiple
+stays 1: Bland's entering rule (over x and the artificials), the loop
+test and the Farkas read-off see the true reduced costs.  The ratio test
+(over the rows of A) sees b / a of the true row, as a positive multiple
+changes neither that ratio nor its sign.  Both check the sign of the
+numerator: a `Fraction`'s denominator is always positive, and an `int`
+is its own numerator over 1.  The ratio test divides nothing: it
+compares integer cross products, with ties to the smaller basis index.
+Each entry of x is its row's right-hand side over the row's basic entry,
+and each entry of x or of the Farkas y is made a `Fraction` once, at
+read-off, so a result holds `Fraction`s whatever kind its tableau
+entries were.
 
 Bland's rule visits each basis at most once, so more pivots than there
 are bases (`_max_pivots`) can only come from a defect; the loop then
@@ -151,22 +159,25 @@ def solve_lp(
                 bp, bq = b.numerator * a.denominator, b.denominator * a.numerator
                 if bp * q < p * bq or (bp * q == p * bq and basis[i] < basis[leave]):
                     leave, p, q = i, bp, bq
-        # The sparse pivot, on every row with a nonzero entering entry.
+        # The sparse pivot: the pivot row stays as it is, scaled by piv > 0,
+        # and every other row with a nonzero entering entry f subtracts
+        # f / piv times it.
         prow = tableau[leave]
         piv = prow[entering]
-        nz = [j for j, x in enumerate(prow) if x]
-        if type(piv) is not int:
-            for j in nz:
-                prow[j] /= piv
-        elif piv != 1:
-            for j in nz:
-                x = prow[j]
-                prow[j] = Fraction(x, piv) if x % piv else x // piv
+        nz = [j for j, x in enumerate(prow) if x and j != entering]
+        unit, exact = piv == 1, type(piv) is int
         for i, row in enumerate(tableau):
             f = row[entering]
             if f and i != leave:
+                if unit:
+                    g = f
+                elif exact and type(f) is int and not f % piv:
+                    g = f // piv
+                else:
+                    g = Fraction(f, piv)
                 for j in nz:
-                    row[j] -= f * prow[j]
+                    row[j] -= g * prow[j]
+                row[entering] = 0
         basis[leave] = entering
 
     if rc[-1] > 0:
@@ -174,7 +185,7 @@ def solve_lp(
         # certificate: pi_i = -1 - rc_i.
         return LPResult(INFEASIBLE, farkas=[Fraction(flips[i] * (1 + rc[n + i])) for i in range(m)])
     x = [_ZERO] * n
-    for r, v in enumerate(basis):
+    for row, v in zip(tableau, basis):
         if v < n:
-            x[v] = Fraction(tableau[r][-1])
+            x[v] = Fraction(row[-1]) / row[v]
     return LPResult(OPTIMAL, x=x, objective=_ZERO)

@@ -23,6 +23,7 @@ from stablepairs import (
     affine_span_test,
     asymptotic_slope,
     certificate_normals,
+    check_relative_invariant,
     cross_polytope,
     degree_of,
     degrees,
@@ -51,6 +52,7 @@ from helpers import (
     impossible_degree_check,
     kempf_ness_distance,
     random_binary_form,
+    random_magnitudes,
     random_pair,
     weight,
 )
@@ -451,19 +453,52 @@ def _full_dimensional(points, constraints):
     return len(_o_rref([*offsets, *constraints])[0]) == len(points[0])
 
 
+def _scaled(wv, c):
+    return WeightedVector(wv.support, [c * m for m in wv.magnitudes])
+
+
+def _magnitudes_check(rng, p, u):
+    """Give p random squared magnitudes, then scale both magnitude vectors
+    by one rational c: `energy_at` at the identity and `asymptotic_slope`
+    along u stay put within float tolerance.  Scaling v's alone shifts the
+    energy at the identity by -log c."""
+    v, w = (WeightedVector(x.support, random_magnitudes(rng, x.support)) for x in (p.v, p.w))
+    base = Pair(v, w, p.problem)
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, 1000))
+    both = Pair(_scaled(v, c), _scaled(w, c), p.problem)
+    only_v = Pair(_scaled(v, c), w, p.problem)
+    identity = [0.0] * p.problem.rank
+    e = energy_at(base, identity)
+    close = lambda a, b: math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+    return (
+        close(energy_at(both, identity), e)
+        and close(energy_at(only_v, identity), e - math.log(c))
+        and close(asymptotic_slope(both, u), asymptotic_slope(base, u))
+    )
+
+
 def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
     """Permuting coordinates, translating both supports and (on free
     problems) flipping coordinate signs leaves every `t_semistable`
     verdict unchanged, and each certificate moves with the symmetry: the
     image's witness verifies on the image, the original witness carried
     over verifies too, and the certificate normals of a full-dimensional
-    w-hull are carried to those of its image.  `stable` is compared under
-    the permutations and sign flips alone, which fix the reference
-    polytope Q: a translation moves both supports against Q, and with them
-    the module degree and the perturbed pairs.  The energy estimate is not
-    compared (it depends on the coordinate order)."""
+    w-hull are carried to those of its image.  The limit supports along
+    the witness, argmin faces, are carried to those along the image
+    witness.  The `relinv` certificate of each v-point of the image
+    verifies on the image, and so does the original one carried over; the
+    two are not compared, as LP weights are not canonical under a
+    coordinate reorder.  `stable` is compared under the permutations and
+    sign flips alone, which fix the reference polytope Q: a translation
+    moves both supports against Q, and with them the module degree and the
+    perturbed pairs.  The energy estimate is not compared (it depends on
+    the coordinate order), but `energy_at` at the identity and
+    `asymptotic_slope` are, under a common rational scaling of the
+    squared magnitudes."""
     rng = random.Random(0x5E78)
+    mag_rng = random.Random(0x5E79)
     checks = mismatches = stable_checks = normal_checks = 0
+    limit_checks = relinv_checks = magnitude_checks = 0
     kinds = set()
     for p in _symmetry_instances():
         verdict = t_semistable(p)
@@ -471,6 +506,8 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
         ctx = p.problem.ctx
         full = _full_dimensional(p.w.support.points, p.problem.constraints)
         normals = certificate_normals(p.w.support, ctx) if full else ()
+        if verdict.semistable:
+            certificates = {chi: relative_invariant(p, chi, verdict) for chi in p.v.support}
         for name, act, act_u in _symmetries(rng, p):
             image = _acted_pair(p, act)
             image_verdict = t_semistable(image)
@@ -489,14 +526,39 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
                 normal_checks += 1
                 image_normals = certificate_normals(image.w.support, ctx)
                 ok = ok and set(image_normals) == set(map(act_u, normals))
+            if not verdict.semistable:
+                u = verdict.witness
+                for x, y in ((p.v, image.v), (p.w, image.w)):
+                    limit_checks += 1
+                    ok = ok and set(limit_support(y.support, act_u(u))) == set(
+                        map(act, limit_support(x.support, u))
+                    )
+            elif image_verdict.semistable:
+                for chi, (d, exponents) in certificates.items():
+                    relinv_checks += 1
+                    d_image, e_image = relative_invariant(image, act(chi), image_verdict)
+                    carried = {act(b): n for b, n in exponents.items()}
+                    ok = (
+                        ok
+                        and check_relative_invariant(image, act(chi), d_image, e_image)
+                        and check_relative_invariant(image, act(chi), d, carried)
+                    )
             mismatches += not ok
+        u = verdict.witness or (1, -1, *[0] * (p.problem.rank - 2))
+        magnitude_checks += 1
+        mismatches += not _magnitudes_check(mag_rng, p, u)
     names = ("permutation", "translation", "sign flip")
     report(
-        "11. verdicts, witnesses and certificate normals transform with the symmetries",
+        "11. verdicts, certificates, limit supports and energies transform with the symmetries",
         mismatches == 0
         and kinds == {(n, s) for n in names for s in (False, True)}
         and stable_checks >= 20
-        and normal_checks >= 50,
+        and normal_checks >= 50
+        and limit_checks >= 50
+        and relinv_checks >= 50
+        and magnitude_checks == len(_symmetry_instances()),
         f"{checks} images, {stable_checks} stable checks past the base, "
-        f"{normal_checks} normal sets, {mismatches} mismatches",
+        f"{normal_checks} normal sets, {limit_checks} limit supports, "
+        f"{relinv_checks} relinv certificates, {magnitude_checks} magnitude scalings, "
+        f"{mismatches} mismatches",
     )

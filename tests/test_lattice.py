@@ -4,21 +4,21 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from stablepairs import clear_denominators, pair
+from stablepairs import clear_denominators, dot
 from stablepairs.lattice import is_admissible, lattice_point
 
 from helpers import _o_primitive
 
 
 def test_pairing_examples():
-    assert pair((1, -1), (2, 0)) == 2
-    assert pair((0, 0), (7, -3)) == 0
-    assert pair((1, 2), (3, -1)) == 1
+    assert dot((1, -1), (2, 0)) == 2
+    assert dot((0, 0), (7, -3)) == 0
+    assert dot((1, 2), (3, -1)) == 1
 
 
 def test_pairing_length_mismatch():
     with pytest.raises(ValueError):
-        pair((1, 2), (1, 2, 3))
+        dot((1, 2), (1, 2, 3))
 
 
 coords = st.lists(st.integers(-50, 50), min_size=1, max_size=5)
@@ -31,9 +31,9 @@ def test_pairing_is_bilinear(data):
     u = data.draw(vec)
     a = data.draw(vec)
     b = data.draw(vec)
-    left = pair(u, [x + y for x, y in zip(a, b)])
-    assert left == pair(u, a) + pair(u, b)
-    assert pair([2 * x for x in u], a) == 2 * pair(u, a)
+    left = dot(u, [x + y for x, y in zip(a, b)])
+    assert left == dot(u, a) + dot(u, b)
+    assert dot([2 * x for x in u], a) == 2 * dot(u, a)
 
 
 def test_clear_denominators_examples():

@@ -195,6 +195,40 @@ def test_cone_feasibility_matches_reference_exactly(lp):
     assert _all_fractions(res)
 
 
+big_int = st.integers(-1000, 1000)
+big_frac = st.fractions(-1000, 1000, max_denominator=12)
+
+
+@st.composite
+def _long_lps(draw):
+    """Systems past the pool sizes: 6-9 rows, 10-40 columns, coordinates in
+    +-1000, all ints or all `Fraction`s.  The target is a nonnegative
+    combination of up to five columns (feasible) or a free draw, so phase 1
+    runs long pivot sequences on stored rows that are not normalized."""
+    m = draw(st.integers(6, 9))
+    n = draw(st.integers(10, 40))
+    coord = draw(st.sampled_from((big_int, big_frac)))
+    cols = [draw(st.lists(coord, min_size=m, max_size=m)) for _ in range(n)]
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 5)),
+                              min_size=1, max_size=5))
+        target = [sum(w * cols[j][i] for j, w in picks) for i in range(m)]
+    else:
+        target = draw(st.lists(coord, min_size=m, max_size=m))
+    return [list(r) for r in zip(*cols)], target
+
+
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None)
+@given(_long_lps())
+def test_long_pivot_sequences_match_reference_exactly(lp):
+    rows, rhs = lp
+    n = len(rows[0])
+    res = solve_lp([0] * n, rows, rhs, [True] * n)
+    assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
+    assert _all_fractions(res)
+
+
 def test_lps_posed_by_the_verdicts_match_reference(monkeypatch):
     """Every LP that `t_semistable`, `stable` and `relative_invariant` pose
     on seeded acceptance-style pairs of ranks 1-4, that `interior_contains`
@@ -273,17 +307,19 @@ def test_unit_pivots_build_no_fraction_before_read_off(monkeypatch, rows, rhs, r
     assert _all_fractions(res)
 
 
-@pytest.mark.parametrize("rows, rhs, read_off", [
-    ([[2, 0, 4], [0, 1, 1]], [6, 3], [3, 3]),    # pivots 2, then 1: x = (3, 3, 0)
-    ([[2, 4], [2, 4]], [2, 6], [-1, 1]),         # pivot 2: y = (-1, 1)
-], ids=["feasible", "infeasible"])
-def test_a_pivot_keeps_its_exact_quotients_int(monkeypatch, rows, rhs, read_off):
-    """A pivot of 2 on an all-int row whose A entries and right-hand side
-    are even keeps those quotients ints: before read-off the one `Fraction`
-    built is 1/2, the quotient of the row's own artificial entry.  That one
-    is never exact: over unit pivots the artificial block is an integer
-    matrix of determinant 1, so none of its rows is divisible by a pivot
-    above 1."""
+@pytest.mark.parametrize("rows, rhs, before_read_off, read_off", [
+    ([[2, 0, 4], [0, 1, 1]], [6, 3], [], [6, 3]),   # pivots 2, then 1: x = (6/2, 3/1, 0)
+    ([[2, 4], [2, 4]], [2, 6], [], [-1, 1]),         # pivot 2, multipliers 1 and 2: y = (-1, 1)
+    ([[2, 1], [1, 0]], [2, 3], [(1, 2), (3, 2)],     # pivot 2, multipliers 1/2 and 3/2
+     [Fraction(-1, 2), 1]),                          # y = (-1/2, 1)
+], ids=["feasible", "infeasible", "inexact"])
+def test_a_pivot_keeps_its_exact_quotients_int(monkeypatch, rows, rhs, before_read_off, read_off):
+    """A pivot of 2 leaves its row as it is.  Each other row with entering
+    entry f subtracts f/2 times it, and that multiplier stays the int f // 2
+    when it is exact: then no `Fraction` is built before read-off.  An
+    inexact one is the one `Fraction(f, 2)` its row builds.  A basic x is
+    its row's right-hand side over the row's basic entry, made a `Fraction`
+    at read-off: x_0 = 6/2 from the stored row (2, 0, 4 | 6)."""
     built = []
 
     def counting(*args):
@@ -293,7 +329,7 @@ def test_a_pivot_keeps_its_exact_quotients_int(monkeypatch, rows, rhs, read_off)
     monkeypatch.setattr(stablepairs.linprog, "Fraction", counting)
     n = len(rows[0])
     res = solve_lp([0] * n, rows, rhs, [True] * n)
-    assert built == [(1, 2), *[(v,) for v in read_off]]
+    assert built == [*before_read_off, *[(v,) for v in read_off]]
     assert res == reference_solve_lp([0] * n, rows, rhs, [True] * n)
     assert _all_fractions(res)
 
@@ -302,7 +338,7 @@ def test_a_pivot_keeps_its_exact_quotients_int(monkeypatch, rows, rhs, read_off)
     ([[2, 0, 1], [0, 1, 1]], [3, 1], [Fraction(3, 2), 1, 0]),   # pivots 2, then 1
     ([[2, 1], [2, 1]], [1, 2], [-1, 1]),                         # pivot 2, infeasible
 ], ids=["feasible", "infeasible"])
-def test_a_pivot_of_two_divides_its_row_exactly(rows, rhs, expected):
+def test_a_row_scaled_by_a_pivot_of_two_reads_off_exactly(rows, rhs, expected):
     n = len(rows[0])
     res = solve_lp([0] * n, rows, rhs, [True] * n)
     assert (res.x or res.farkas) == expected
