@@ -48,18 +48,14 @@ class BinaryForm:
     """A nonzero binary form, stored by roots.
 
     `roots` maps primitive projective points to multiplicities; the degree
-    is their sum.  `scale` is the nonzero leading rational factor.
+    is their sum.  A form is known up to a nonzero factor, which no verdict
+    reads: it is taken to be 1.
     """
 
     degree: int
     roots: tuple[tuple[RootPoint, int], ...]
-    scale: Fraction
 
-    def __init__(
-        self,
-        roots: Mapping[Sequence, int] | Iterable[tuple[Sequence, int]] = (),
-        scale=1,
-    ):
+    def __init__(self, roots: Mapping[Sequence, int] | Iterable[tuple[Sequence, int]] = ()):
         items = roots.items() if isinstance(roots, Mapping) else roots
         acc: dict[RootPoint, int] = {}
         for point, mult in items:
@@ -70,16 +66,12 @@ class BinaryForm:
                 continue
             key = normalize_root(*point)
             acc[key] = acc.get(key, 0) + mult
-        scale = Fraction(scale)
-        if scale == 0:
-            raise ValueError("the zero form has no roots data")
         object.__setattr__(self, "roots", tuple(sorted(acc.items())))
         object.__setattr__(self, "degree", sum(acc.values()))
-        object.__setattr__(self, "scale", scale)
 
     @classmethod
-    def constant(cls, scale=1) -> "BinaryForm":
-        return cls((), scale)
+    def constant(cls) -> "BinaryForm":
+        return cls()
 
     @classmethod
     def parse(cls, text: str) -> "BinaryForm":
@@ -115,10 +107,11 @@ class BinaryForm:
     def root_points(self) -> tuple[RootPoint, ...]:
         return tuple(p for p, _ in self.roots)
 
-    def _expand(self, lead) -> list:
-        """Coefficients of x^i y^(degree - i) of lead times the product of the
-        root factors; the root [p : q] contributes the linear factor q x - p y."""
-        coeffs = [lead]
+    def coefficients(self) -> list[int]:
+        """Integer coefficients c_i of x^i y^(degree - i) of the product of
+        the root factors; the root [p : q] contributes the linear factor
+        q x - p y."""
+        coeffs = [1]
         for (p, q), mult in self.roots:
             for _ in range(mult):
                 new = [0] * (len(coeffs) + 1)
@@ -128,19 +121,13 @@ class BinaryForm:
                 coeffs = new
         return coeffs
 
-    def coefficients(self) -> list[Fraction]:
-        """Exact coefficients c_i of x^i y^(degree - i), from the factorization."""
-        return self._expand(self.scale)
-
     def diagonal_support(self) -> list[tuple[int]]:
         """Weights of the diagonal torus on the nonzero coefficients.
 
         x carries weight +1 and y weight -1, so x^i y^(d-i) sits at 2i - d.
-        Only the zero pattern matters, and the nonzero scale does not change
-        it, so the expansion runs in integers.
         """
         d = self.degree
-        return [(2 * i - d,) for i, c in enumerate(self._expand(1)) if c]
+        return [(2 * i - d,) for i, c in enumerate(self.coefficients()) if c]
 
 
 @dataclass(frozen=True)
@@ -181,7 +168,7 @@ def mobius_act(matrix: Sequence[Sequence[int]], f: BinaryForm) -> BinaryForm:
     moved = []
     for (p, q), mult in f.roots:
         moved.append(((a * p + b * q, c * p + d * q), mult))
-    return BinaryForm(moved, f.scale)
+    return BinaryForm(moved)
 
 
 def _matrix_sending_to_infinity(point: RootPoint) -> tuple[tuple[int, int], tuple[int, int]]:

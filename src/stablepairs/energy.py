@@ -29,10 +29,10 @@ Each direction d takes one exact pass, that of `futaki_gen`, which checks
 d admissible exactly, instead of the float check `energy_at` makes on
 every torus element: the normals in the scan `stable` shares
 (`_scan_normals`), a basis vector or a covector in `_SubgroupLine`, whose
-`sides` divide the doubled integer pairings of den d by den, den the common
-denominator of d, with one rounding.  Floating-point work goes to the line
-searches: a ray probe runs unless a floor of the energy it would compute,
-priced in O(1) (`_extents`), is not below the current estimate.
+`sides` round the doubled integer pairings of d once.  Floating-point work
+goes to the line searches: a ray probe runs unless a floor of the energy
+it would compute, priced in O(1) (`_extents`), is not below the current
+estimate.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import math
 from operator import mul
 from typing import Iterable, Sequence
 
-from .lattice import Scalar
-from .linalg import integral
+from .lattice import lattice_point
 from .pairs import Pair, WeightedVector, _futaki_pairings, _scan_normals
 
 _CONSTRAINT_TOL = 1e-9
@@ -83,10 +82,9 @@ def _log_norm_sq(vec: WeightedVector, s: Sequence[float]) -> float:
 _Sides = tuple[list[float], list[float]]
 
 
-def _slopes(den: int, xw: list[int], xv: list[int]) -> _Sides:
-    # The exact pairings of den * d, doubled and divided by den in one
-    # correctly rounded step.
-    return [2 * x / den for x in xw], [2 * x / den for x in xv]
+def _slopes(xw: list[int], xv: list[int]) -> _Sides:
+    # The exact pairings of d, doubled and rounded once.
+    return [float(2 * x) for x in xw], [float(2 * x) for x in xv]
 
 
 class _Line:
@@ -185,25 +183,24 @@ _SLOPE_MARGIN = 40.0  # log of how far the least pairings outweigh the rest
 class _SubgroupLine:
     """The energy along the one-parameter subgroup of u, set up once.
 
-    One exact pass, the one of `futaki_gen`, checks u and pairs den u with
-    the supports, den the common denominator of u.  `futaki` is read off it:
-    the Futaki number of den u, so of u itself for an int covector.  `sides`
-    rounds the pairings to floats, and the line through the identity along
-    u, which `energy` (`energy_along`) and `slope` (`asymptotic_slope`)
-    probe, is built from them on first use, so a pairing beyond the float
-    range fails only a request for a float.
+    u is checked as every support point is (`lattice_point`), then one
+    exact pass, the one of `futaki_gen`, checks it admissible and pairs it
+    with the supports; `futaki`, the Futaki number of u, is read off it.
+    `sides` rounds the pairings to floats, and the line through the
+    identity along u, which `energy` (`energy_along`) and `slope`
+    (`asymptotic_slope`) probe, is built from them on first use, so a
+    pairing beyond the float range fails only a request for a float.
     """
 
-    __slots__ = ("futaki", "_p", "_den", "_xs", "_line")
+    __slots__ = ("futaki", "_p", "_xs", "_line")
 
-    def __init__(self, p: Pair, u: Sequence[Scalar]):
-        den, (num,) = integral([u])
-        self.futaki, xw, xv = _futaki_pairings(num, p)
-        self._p, self._den, self._xs, self._line = p, den, (xw, xv), None
+    def __init__(self, p: Pair, u: Sequence[int]):
+        self.futaki, xw, xv = _futaki_pairings(lattice_point(u), p)
+        self._p, self._xs, self._line = p, (xw, xv), None
 
     def sides(self) -> _Sides:
         """2<u, a> for the support points a of w and of v, rounded once."""
-        return _slopes(self._den, *self._xs)
+        return _slopes(*self._xs)
 
     def _along(self) -> _Line:
         if self._line is None:
@@ -221,7 +218,7 @@ class _SubgroupLine:
         `asymptotic_slope`."""
         p = self._p
         spread = max(max(side) - min(side) for side in (p.w.log_magnitudes, p.v.log_magnitudes))
-        return self._along().derivatives(-(spread + _SLOPE_MARGIN) * self._den / 2)[0] / 2
+        return self._along().derivatives(-(spread + _SLOPE_MARGIN) / 2)[0] / 2
 
 
 def energy_along(p: Pair, u: Sequence[int], t: float) -> float:
@@ -239,10 +236,10 @@ def asymptotic_slope(p: Pair, u: Sequence[int]) -> float:
     Half of E' on the line of `energy_along`: the difference of the Gibbs
     means of <u, b> over w and <u, a> over v, which tends to the Futaki
     number as the least pairings take over.  It is read at log t =
-    -(spread + 40) / gap: spread is the largest spread of the log
-    magnitudes on one side, and distinct slopes differ by at least gap =
-    2 / den (den the denominator of u), so each term off the least pairing
-    of its side weighs at most e^-40 of one on it, whatever the magnitudes.
+    -(spread + 40) / 2: spread is the largest spread of the log magnitudes
+    on one side, and distinct slopes 2<u, a> of an integer u differ by at
+    least 2, so each term off the least pairing of its side weighs at most
+    e^-40 of one on it, whatever the magnitudes.
     """
     return _SubgroupLine(p, u).slope()
 
@@ -294,7 +291,7 @@ def infimum_estimate(p: Pair) -> float:
     witness, passes = _scan_normals(p)
     if witness is not None:
         return -math.inf
-    rays = [_slopes(1, xw, xv) for _, _, xw, xv in passes]
+    rays = [_slopes(xw, xv) for _, _, xw, xv in passes]
     rank = p.problem.rank
     best = energy_at(p, [0.0] * rank)
     basis = [_SubgroupLine(p, e).sides() for e in p.problem.ctx.covectors(rank)]

@@ -35,9 +35,9 @@ negates the rows with b < 0 and sums their columns and |b|, the reduced
 costs, on the input numbers, and the tableau holds those numbers as they
 are: an `int` stays an `int` and a `Fraction` a `Fraction`, and the
 artificial block is the ints 0 and 1, so the set-up builds no `Fraction`.
-Only ints and `Fraction`s are summed as given: any other kind (floats,
-Decimals, strings) is first made its exact `Fraction`, as a Decimal
-negation or sum may round.
+The entries are ints and `Fraction`s, as `polytope` poses them: it refuses
+any other kind of coordinate where a target enters (`_check_dims`), and
+its points are lattice points.
 
 Each row of A is stored as a positive multiple of its true row: the
 multiple is the row's own entry in its basic column, 1 while that column
@@ -89,13 +89,6 @@ def _max_pivots(n: int, m: int) -> int:
     return comb(n + m, m)
 
 
-def _flipped(rows: Sequence[Sequence], rhs: Sequence) -> tuple[list, list, list]:
-    """The signs of b, the rows negated where b < 0, and their column sums then sum |b|."""
-    flips = [-1 if b < 0 else 1 for b in rhs]
-    flipped = [row if f > 0 else [-a for a in row] for row, f in zip(rows, flips)]
-    return flips, flipped, [*map(sum, zip(*flipped)), sum(map(abs, rhs))]
-
-
 @dataclass
 class LPResult:
     status: str
@@ -123,13 +116,10 @@ def solve_lp(
         raise ValueError("only feasibility is decided: every column must be nonnegative")
 
     m = len(rows)
-    try:
-        flips, flipped, sums = _flipped(rows, rhs)
-    except TypeError:  # kinds that do not mix, such as Decimal and Fraction
-        sums = [None]
-    if not {*map(type, sums)} <= {int, Fraction}:
-        rows, rhs = [[*map(Fraction, r)] for r in rows], [*map(Fraction, rhs)]
-        flips, flipped, sums = _flipped(rows, rhs)
+    # The signs of b, the rows negated where b < 0, and their column sums then sum |b|.
+    flips = [-1 if b < 0 else 1 for b in rhs]
+    flipped = [row if f > 0 else [-a for a in row] for row, f in zip(rows, flips)]
+    sums = [*map(sum, zip(*flipped)), sum(map(abs, rhs))]
     if not sums[-1]:
         # x = 0, with no pivot; so too with no rows, where there are no column sums.
         return LPResult(OPTIMAL, x=[_ZERO] * n, objective=_ZERO)

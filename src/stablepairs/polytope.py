@@ -139,9 +139,18 @@ def _as_pointset(A: PointSet | Iterable[Sequence[Scalar]]) -> PointSet:
 
 
 def _check_dims(A: PointSet, x: Sequence[Scalar] | None, ctx: ContainmentContext) -> int:
+    """The dimension of A, checked against x and the directions.
+
+    This is where a target x enters every hull LP: its coordinates must be
+    ints or `Fraction`s, so the simplex sees only exact numbers.
+    """
     dim = A.dim
-    if x is not None and len(x) != dim:
-        raise ValueError(f"dimension mismatch: point has {len(x)}, set has {dim}")
+    if x is not None:
+        if len(x) != dim:
+            raise ValueError(f"dimension mismatch: point has {len(x)}, set has {dim}")
+        for c in x:
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"non-exact point coordinate {c!r}")
     for d in ctx.mod_directions:
         if len(d) != dim:
             raise ValueError("quotient direction dimension mismatch")

@@ -77,9 +77,7 @@ def degrees(vd: VarietyDatum, genus: int | None = None) -> DegreeReport:
     delta_frac = n * (n + 1) * d - d * mu
     if delta_frac.denominator != 1:
         raise ValueError(f"hyperdiscriminant degree {delta_frac} is not an integer")
-    deg_delta = int(delta_frac)
-    if deg_delta <= 0:
-        raise ValueError("hyperdiscriminant degree must be positive")
+    deg_delta = int(delta_frac)  # positive: `VarietyDatum` refuses any other
     deg_r = d * (n + 1)
     r = deg_r * deg_delta
     if r % (n + 1) != 0 or r % n != 0:

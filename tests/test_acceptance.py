@@ -491,14 +491,20 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
     coordinate reorder.  `stable` is compared under the permutations and
     sign flips alone, which fix the reference polytope Q: a translation
     moves both supports against Q, and with them the module degree and the
-    perturbed pairs.  The energy estimate is not compared (it depends on
-    the coordinate order), but `energy_at` at the identity and
+    perturbed pairs.  With B the limit support of a support V along the
+    witness, when B is not V, the degeneration covector of the image of B
+    in the image of V realizes it, and so does the original one carried
+    over.  The energy estimate is not compared (it depends on the
+    coordinate order), but `energy_at` at the identity and
     `asymptotic_slope` are, under a common rational scaling of the
-    squared magnitudes."""
+    squared magnitudes.  Scaling both supports by c in {2, 3} leaves the
+    `t_semistable` verdict unchanged: the scaled pair's certificate and
+    the original one carried over verify on it, and the witness's Futaki
+    number scales by c."""
     rng = random.Random(0x5E78)
     mag_rng = random.Random(0x5E79)
     checks = mismatches = stable_checks = normal_checks = 0
-    limit_checks = relinv_checks = magnitude_checks = 0
+    limit_checks = relinv_checks = magnitude_checks = degeneration_checks = scaling_checks = 0
     kinds = set()
     for p in _symmetry_instances():
         verdict = t_semistable(p)
@@ -508,6 +514,12 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
         normals = certificate_normals(p.w.support, ctx) if full else ()
         if verdict.semistable:
             certificates = {chi: relative_invariant(p, chi, verdict) for chi in p.v.support}
+        else:
+            faces = []  # (V, its face B along the witness, B's degeneration covector)
+            for x in (p.v, p.w):
+                face = limit_support(x.support, verdict.witness)
+                if face != x.support:
+                    faces.append((x.support, face, find_degeneration(x.support, face, ctx)))
         for name, act, act_u in _symmetries(rng, p):
             image = _acted_pair(p, act)
             image_verdict = t_semistable(image)
@@ -533,6 +545,17 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
                     ok = ok and set(limit_support(y.support, act_u(u))) == set(
                         map(act, limit_support(x.support, u))
                     )
+                for V, face, u0 in faces:
+                    degeneration_checks += 1
+                    gV, gB = PointSet(map(act, V)), PointSet(map(act, face))
+                    u_image = find_degeneration(gV, gB, ctx)
+                    ok = (
+                        ok
+                        and u_image is not None
+                        and is_admissible(u_image, p.problem.constraints)
+                        and limit_support(gV, u_image) == gB
+                        and limit_support(gV, act_u(u0)) == gB
+                    )
             elif image_verdict.semistable:
                 for chi, (d, exponents) in certificates.items():
                     relinv_checks += 1
@@ -543,6 +566,19 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
                         and check_relative_invariant(image, act(chi), d_image, e_image)
                         and check_relative_invariant(image, act(chi), d, carried)
                     )
+            mismatches += not ok
+        for c in (2, 3):
+            dilate = lambda a: tuple(c * x for x in a)
+            scaled = _acted_pair(p, dilate)
+            scaled_verdict = t_semistable(scaled)
+            scaling_checks += 1
+            ok = (
+                scaled_verdict.semistable == verdict.semistable
+                and _verdict_verifies(scaled, scaled_verdict)
+                and _verdict_verifies(scaled, _acted_verdict(verdict, p, dilate, tuple, scaled))
+            )
+            if not verdict.semistable:
+                ok = ok and futaki_gen(verdict.witness, scaled) == c * futaki_gen(verdict.witness, p)
             mismatches += not ok
         u = verdict.witness or (1, -1, *[0] * (p.problem.rank - 2))
         magnitude_checks += 1
@@ -556,9 +592,12 @@ def test_criterion_11_verdicts_and_certificates_transform_with_the_symmetries():
         and normal_checks >= 50
         and limit_checks >= 50
         and relinv_checks >= 50
+        and degeneration_checks >= 50
+        and scaling_checks == 2 * len(_symmetry_instances())
         and magnitude_checks == len(_symmetry_instances()),
         f"{checks} images, {stable_checks} stable checks past the base, "
         f"{normal_checks} normal sets, {limit_checks} limit supports, "
-        f"{relinv_checks} relinv certificates, {magnitude_checks} magnitude scalings, "
+        f"{degeneration_checks} degeneration covectors, {relinv_checks} relinv certificates, "
+        f"{scaling_checks} support scalings, {magnitude_checks} magnitude scalings, "
         f"{mismatches} mismatches",
     )

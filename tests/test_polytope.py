@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -454,6 +455,57 @@ def test_interior_contains_solves_one_cone_lp(monkeypatch, A, ctx, off, off_insi
     assert interior_contains(A, off, ctx) == off_inside
     shapes = [(len(rows), len(objective)) for _, objective, rows, _ in calls]
     assert shapes == [(dim - nd, k)] * (1 if centroid else 2)
+
+
+TRIANGLE = PointSet([(0, 0), (2, 0), (0, 2)])
+HALF = Fraction(1, 2)
+_POLYTOPE_ENTRIES = {
+    "containment": lambda x, ctx: containment(TRIANGLE, x, ctx),
+    "contains_point": lambda x, ctx: contains_point(TRIANGLE, x, ctx),
+    "convex_combination": lambda x, ctx: convex_combination(TRIANGLE, x, ctx),
+    "separating_functional": lambda x, ctx: separating_functional(TRIANGLE, x, ctx),
+    "is_convex_combination": lambda x, ctx: stablepairs.polytope.is_convex_combination(
+        TRIANGLE, x, [HALF, HALF, 0], ctx),
+    "interior_contains": lambda x, ctx: interior_contains(TRIANGLE, x, ctx),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POLYTOPE_ENTRIES))
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2"], ids=["float", "decimal", "str"])
+@pytest.mark.parametrize("ctx", [ContainmentContext(), CTX11], ids=["free", "mod_diagonal"])
+def test_an_inexact_target_is_refused_before_any_lp(monkeypatch, entry, bad, ctx):
+    """Every public entry that takes a target x refuses a coordinate that is
+    not an int or a `Fraction` where x comes in, so no LP sees it."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was posed for an inexact target")
+
+    monkeypatch.setattr(stablepairs.polytope, "solve_lp", no_lp)
+    with pytest.raises(ValueError, match="non-exact"):
+        _POLYTOPE_ENTRIES[entry]((bad, 0), ctx)
+    with pytest.raises(ValueError, match="non-exact"):
+        _POLYTOPE_ENTRIES[entry]((0, bad), ctx)
+
+
+@pytest.mark.parametrize("ctx", [ContainmentContext(), CTX11], ids=["free", "mod_diagonal"])
+def test_a_fraction_target_is_answered_exactly(monkeypatch, ctx):
+    """`Fraction` targets, inside, on the boundary and outside, pose LPs
+    that `solve_lp` answers as `reference_solve_lp` does, field for field."""
+    real = stablepairs.polytope.solve_lp
+    answered = []
+
+    def compared(objective, rows, rhs, nonneg):
+        res = real(objective, rows, rhs, nonneg)
+        assert res == reference_solve_lp(objective, rows, rhs, nonneg)
+        answered.append(res.status)
+        return res
+
+    monkeypatch.setattr(stablepairs.polytope, "solve_lp", compared)
+    third = Fraction(1, 3)
+    for x in [(HALF, third), (Fraction(3, 2), HALF), (Fraction(5, 2), third), (-third, HALF)]:
+        answer = containment(TRIANGLE, x, ctx)
+        assert (answer.weights is None) == (answer.separator is not None)
+        interior_contains(TRIANGLE, x, ctx)
+    assert set(answered) == {"optimal", "infeasible"}
 
 
 def test_every_polytope_lp_is_a_cone_membership_problem(monkeypatch):
