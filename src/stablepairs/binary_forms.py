@@ -16,9 +16,9 @@ are out of reach of this module by construction.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .lattice import clear_denominators
 from .pairs import Pair, StabilityProblem, WeightedVector, t_semistable

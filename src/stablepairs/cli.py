@@ -435,12 +435,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, help="average scalar curvature, e.g. '1' or '2/3'")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--genus", type=int, default=None, help="validate mu for a curve")
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
+
+
+def _parse_request(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """The namespace of one request, from one argparse pass.
+
+    A request whose first argument names a subcommand is parsed by that
+    subcommand's parser alone, as argparse's subparser action parses it,
+    and leftover arguments are refused as `parse_args` refuses them.  Help,
+    no arguments and an unknown command go through the top-level parser,
+    which writes their usage and errors.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_request(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:

@@ -41,7 +41,6 @@ import math
 from operator import mul
 from typing import Iterable, Sequence
 
-from .lattice import lattice_point
 from .pairs import Pair, WeightedVector, _futaki_pairings, _scan_normals
 
 _CONSTRAINT_TOL = 1e-9
@@ -183,19 +182,19 @@ _SLOPE_MARGIN = 40.0  # log of how far the least pairings outweigh the rest
 class _SubgroupLine:
     """The energy along the one-parameter subgroup of u, set up once.
 
-    u is checked as every support point is (`lattice_point`), then one
-    exact pass, the one of `futaki_gen`, checks it admissible and pairs it
-    with the supports; `futaki`, the Futaki number of u, is read off it.
-    `sides` rounds the pairings to floats, and the line through the
-    identity along u, which `energy` (`energy_along`) and `slope`
-    (`asymptotic_slope`) probe, is built from them on first use, so a
-    pairing beyond the float range fails only a request for a float.
+    One exact pass, the one of `futaki_gen`, checks u as every support
+    point is checked and admissible, and pairs it with the supports;
+    `futaki`, the Futaki number of u, is read off it.  `sides` rounds the
+    pairings to floats, and the line through the identity along u, which
+    `energy` (`energy_along`) and `slope` (`asymptotic_slope`) probe, is
+    built from them on first use, so a pairing beyond the float range
+    fails only a request for a float.
     """
 
     __slots__ = ("futaki", "_p", "_xs", "_line")
 
     def __init__(self, p: Pair, u: Sequence[int]):
-        self.futaki, xw, xv = _futaki_pairings(lattice_point(u), p)
+        self.futaki, xw, xv = _futaki_pairings(u, p)
         self._p, self._xs, self._line = p, (xw, xv), None
 
     def sides(self) -> _Sides:

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .lattice import OnePS, clear_denominators
+from .lattice import OnePS, clear_denominators, lattice_point
 from .polytope import (
     NO_CONTEXT,
     ContainmentContext,
@@ -94,8 +94,9 @@ def find_degeneration(
 def limit_support(
     A: PointSet | Iterable[Sequence[int]], u: Sequence[int]
 ) -> PointSet:
-    """Support of the renormalized limit along u: the argmin of the pairing."""
-    A = _as_pointset(A)
+    """Support of the renormalized limit along u: the argmin of the pairing.
+    u is checked as every support point is (`lattice_point`)."""
+    A, u = _as_pointset(A), lattice_point(u)
     if not A.points:
         raise ValueError("empty point set")
     if len(u) != A.dim:

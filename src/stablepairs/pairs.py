@@ -14,13 +14,13 @@ for a facet enumeration instead of containment LPs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import inf, log
 from operator import mul
 from sys import float_info
-from typing import Iterable, Mapping, Sequence
 
 from .lattice import (
     LatticePoint,
@@ -431,9 +431,11 @@ def _futaki_pairings(u: Sequence[int], p: Pair) -> tuple[int, list[int], list[in
     v-support points that it is the difference of the minima of.
 
     The one pass over both supports for a covector, where it is checked
-    admissible; the verdicts of `stable` read it, and the energy's lines
-    along u round the same pairings to their slopes.
+    as every support point is (`lattice_point`) and admissible; the
+    verdicts of `stable` read it, and the energy's lines along u round the
+    same pairings to their slopes.
     """
+    u = lattice_point(u)
     if len(u) != p.problem.rank:
         raise ValueError(f"length mismatch: {len(u)} vs {p.problem.rank}")
     require_admissible(u, p.problem.constraints)

@@ -338,8 +338,9 @@ def scale(A: PointSet | Iterable[Sequence[Scalar]], m: int) -> PointSet:
 
 
 def min_functional(A: PointSet | Iterable[Sequence[Scalar]], u: Sequence[int]) -> int:
-    """Exact minimum of <u, a> over the point set."""
-    A = _as_pointset(A)
+    """Exact minimum of <u, a> over the point set; u is checked as every
+    point is (`lattice_point`)."""
+    A, u = _as_pointset(A), lattice_point(u)
     if not A.points:
         raise ValueError("empty point set")
     if len(u) != A.dim:

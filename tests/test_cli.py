@@ -717,6 +717,55 @@ class TestDispatch:
         monkeypatch.setattr(stablepairs.cli, "cmd_check", lambda args: 1)
         assert run(capsys, "check", semistable_file) == (1, None)
 
+    def test_benchmark_requests_parse_as_through_the_top_level_parser(self, monkeypatch, tmp_path):
+        """Every request of the `cli_mix` pools for seeds 1-3, parsed once by
+        its subcommand's parser, gives the namespace of the two-pass parse."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        parser = stablepairs.cli.build_parser()
+        commands = set()
+        for seed in (1, 2, 3):
+            workdir = tmp_path / str(seed)
+            workdir.mkdir()
+            for batch in workloads.CliMix().setup(random.Random(seed), str(workdir)):
+                for item in batch:
+                    argv = item["argv"]
+                    assert vars(stablepairs.cli._parse_request(argv)) == vars(
+                        parser.parse_args(argv)), argv
+                    commands.add(argv[0])
+        assert commands == set(workloads.CLI_COMMANDS)
+
+    PARSER_EXITS = {
+        "no_arguments": [],
+        "help": ["-h"],
+        "long_help_abbreviated": ["--he"],
+        "command_help": ["check", "-h"],
+        "help_after_the_file": ["energy", "FILE", "--ops=1,-1", "--h"],
+        "unknown_command": ["frobnicate", "FILE"],
+        "option_before_the_command": ["--ops", "1", "energy", "FILE"],
+        "missing_problem_file": ["check"],
+        "missing_chi": ["relinv", "FILE"],
+        "missing_target": ["limit", "FILE"],
+        "missing_ops": ["energy", "FILE", "--slope"],
+        "max_m_not_an_int": ["stable", "FILE", "--max-m", "x"],
+        "trailing_argument": ["check", "FILE", "extra"],
+        "trailing_arguments_after_a_separator": ["extend", "FILE", "--target", "[]", "--", "a", "b"],
+        "unknown_option": ["binary", "--f", "1", "--g", "1", "--bogus"],
+        "variety_without_N": ["variety", "--n", "1", "--d", "2", "--mu", "1"],
+    }
+
+    @pytest.mark.parametrize("argv", PARSER_EXITS.values(), ids=PARSER_EXITS.keys())
+    def test_help_and_errors_are_those_of_the_top_level_parser(self, capsys, argv):
+        """`main` exits and writes as `build_parser().parse_args` does."""
+        code = main(argv)
+        dispatched = code, capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            stablepairs.cli.build_parser().parse_args(argv)
+        expected = 0 if exc.value.code in (0, None) else 2
+        assert dispatched == (expected, capsys.readouterr())
+        assert dispatched[1].out if expected == 0 else dispatched[1].err
+
 
 class TestHelp:
     def test_help_exits_cleanly(self, capsys):

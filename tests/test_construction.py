@@ -1,6 +1,7 @@
 """Building points, point sets, weighted vectors and problems: what each
 constructor rejects, and with which message, in the library and through
-the CLI; the single pass over the points; repeated points."""
+the CLI; the single pass over the points; repeated points; the kind check
+of each exact covector entry."""
 
 import dataclasses
 import json
@@ -9,9 +10,19 @@ from fractions import Fraction
 
 import pytest
 
+import stablepairs.energy
 import stablepairs.linalg
 import stablepairs.pairs
-from stablepairs import PointSet, StabilityProblem, WeightedVector, cross_polytope
+from stablepairs import (
+    Pair,
+    PointSet,
+    StabilityProblem,
+    WeightedVector,
+    cross_polytope,
+    futaki_gen,
+    limit_support,
+    min_functional,
+)
 from stablepairs.cli import main, parse_weighted_vector
 from stablepairs.lattice import lattice_point
 from stablepairs.linalg import matrix_rank
@@ -209,6 +220,39 @@ def test_a_point_set_support_is_not_checked_again(monkeypatch):
     calls = _count_lattice_point_calls(monkeypatch)
     assert WeightedVector(support).support is support
     assert calls == []
+
+
+class TestCovectorEntries:
+    """Each exact covector entry checks u as a support point is checked,
+    instead of pairing a float or a non-integral rational."""
+
+    PAIR = Pair(WeightedVector([(1, 0)]), WeightedVector([(1, 0), (0, 1)]), StabilityProblem(2))
+    ENTRIES = {
+        "futaki_gen": lambda u: futaki_gen(u, TestCovectorEntries.PAIR),
+        "limit_support": lambda u: limit_support(TestCovectorEntries.PAIR.w.support, u),
+        "min_functional": lambda u: min_functional(TestCovectorEntries.PAIR.w.support, u),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    @pytest.mark.parametrize("u", [(0.5, 0), (2.0, -1), (Fraction(1, 2), 0)],
+                             ids=["float", "integral_float", "fraction"])
+    def test_a_covector_off_the_lattice_is_refused(self, entry, u):
+        with pytest.raises(ValueError, match="lattice coordinate"):
+            entry(u)
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_an_integral_fraction_is_paired_as_an_int(self, entry):
+        got = entry((Fraction(2), -1))
+        assert got == entry((2, -1))
+        if isinstance(got, PointSet):
+            assert got.points == ((0, 1),)
+        else:
+            assert type(got) is int
+
+    def test_a_subgroup_line_checks_its_covector_once(self, monkeypatch):
+        calls = _count_lattice_point_calls(monkeypatch)
+        line = stablepairs.energy._SubgroupLine(self.PAIR, (Fraction(2), -1))
+        assert len(calls) == 1 and type(line.futaki) is int
 
 
 class TestRepeatedPoints:

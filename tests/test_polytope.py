@@ -145,8 +145,12 @@ class TestMinFunctional:
         with pytest.raises(ValueError, match=rf"^length mismatch: {len(u)} vs 2$"):
             min_functional(PointSet([(2, 0), (0, 2)]), u)
 
-    def test_rational_functional(self):
-        assert min_functional([(2, 0), (0, 3)], (Fraction(1, 2), Fraction(-1, 3))) == -1
+    def test_a_rational_functional_is_refused(self):
+        # u is checked as a lattice point; an integral Fraction pairs as its int.
+        with pytest.raises(ValueError, match="non-integral lattice coordinate 1/2"):
+            min_functional([(2, 0), (0, 3)], (Fraction(1, 2), Fraction(-1, 3)))
+        got = min_functional([(2, 0), (0, 3)], (Fraction(3), Fraction(-2)))
+        assert got == -6 and type(got) is int
 
 
 class TestInteriorContains:
