@@ -49,7 +49,9 @@ class BinaryForm:
 
     `roots` maps primitive projective points to multiplicities; the degree
     is their sum.  A form is known up to a nonzero factor, which no verdict
-    reads: it is taken to be 1.
+    reads: it is taken to be 1.  The input is checked once, here: root
+    coordinates are ints or `Fraction`s and multiplicities are ints, and a
+    float, `bool` or `str` raises `ValueError`.
     """
 
     degree: int
@@ -59,13 +61,15 @@ class BinaryForm:
         items = roots.items() if isinstance(roots, Mapping) else roots
         acc: dict[RootPoint, int] = {}
         for point, mult in items:
-            mult = int(mult)
+            if type(mult) is not int:
+                raise ValueError(f"root multiplicity {mult!r} is not an int")
             if mult < 0:
                 raise ValueError("negative root multiplicity")
-            if mult == 0:
-                continue
-            key = normalize_root(*point)
-            acc[key] = acc.get(key, 0) + mult
+            if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in point):
+                raise ValueError(f"root {tuple(point)!r} has an inexact coordinate")
+            if mult:
+                key = normalize_root(*point)
+                acc[key] = acc.get(key, 0) + mult
         object.__setattr__(self, "roots", tuple(sorted(acc.items())))
         object.__setattr__(self, "degree", sum(acc.values()))
 

@@ -95,19 +95,15 @@ MAX_ORACLE_DEGREE = 32
 MAX_VARIETY_N = 64
 
 
-class InputError(Exception):
-    pass
-
-
 def _field(obj: dict, name: str) -> Any:
     if name not in obj:
-        raise InputError(f"missing field {name!r}")
+        raise ValueError(f"missing field {name!r}")
     return obj[name]
 
 
 def _list(value: Any, name: str) -> list:
     if not isinstance(value, list):
-        raise InputError(f"{name!r} must be a list")
+        raise ValueError(f"{name!r} must be a list")
     return value
 
 
@@ -125,36 +121,36 @@ def _magnitude(m: Any) -> Fraction:
         shift = int(exp) - len(frac)
         digits = len((whole + frac).lstrip("0")) + shift if shift >= 0 else 1 - shift
         if digits > MAX_MAGNITUDE_DIGITS:
-            raise InputError(
+            raise ValueError(
                 f"magnitude {text[:32]!r} has an exponent beyond the cap of "
                 f"{MAX_MAGNITUDE_DIGITS} digits"
             )
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise InputError(f"magnitude {text[:32]!r} has a zero denominator") from None
+        raise ValueError(f"magnitude {text[:32]!r} has a zero denominator") from None
 
 
 def parse_weighted_vector(obj: Any) -> WeightedVector:
     if not isinstance(obj, dict) or not isinstance(obj.get("support"), list):
-        raise InputError("vector entries need a 'support' list")
+        raise ValueError("vector entries need a 'support' list")
     support = obj["support"]  # checked by WeightedVector, each point once
     mags = obj.get("magnitudes")
     if mags is None:
         return WeightedVector(support)
     if len(_list(mags, "magnitudes")) != len(support):
-        raise InputError("magnitudes must be parallel to the support")
+        raise ValueError("magnitudes must be parallel to the support")
     return WeightedVector(support, [_magnitude(m) for m in mags])
 
 
 def parse_problem(obj: Any) -> Pair:
     if not isinstance(obj, dict):
-        raise InputError("a problem must be a JSON object")
+        raise ValueError("a problem must be a JSON object")
     rank = _field(obj, "rank")
     if type(rank) is not int:
-        raise InputError(f"'rank' must be an integer, not {json.dumps(rank, default=str)}")
+        raise ValueError(f"'rank' must be an integer, not {json.dumps(rank, default=str)}")
     if rank > MAX_RANK:
-        raise InputError(f"rank {rank} is above the cap of {MAX_RANK}")
+        raise ValueError(f"rank {rank} is above the cap of {MAX_RANK}")
     try:
         constraints = [lattice_point(c) for c in _list(obj.get("constraints", []), "constraints")]
         q_points = obj.get("Q")
@@ -164,8 +160,8 @@ def parse_problem(obj: Any) -> Pair:
         v = parse_weighted_vector(_field(obj, "v"))
         w = parse_weighted_vector(_field(obj, "w"))
         return Pair(v, w, problem)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(str(exc)) from exc
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _max_facets(npoints: int, dim: int) -> int:
@@ -182,7 +178,7 @@ def _require_bounded_hull(pair: Pair, name: str, points: PointSet) -> None:
     n = len(points)
     dim = pair.problem.rank - len(pair.problem.constraints)
     if n * _max_facets(n, dim) > MAX_HULL_WORK:
-        raise InputError(
+        raise ValueError(
             f"the hull of {name} ({n} points, dimension up to {dim}) is above the cap "
             f"of {MAX_HULL_WORK} on points times facets"
         )
@@ -193,7 +189,7 @@ def load_pair(path: str) -> Pair:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read problem file: {exc}") from exc
+        raise ValueError(f"cannot read problem file: {exc}") from exc
     return parse_problem(data)
 
 
@@ -201,9 +197,9 @@ def _parse_covector(text: str, rank: int) -> tuple[int, ...]:
     try:
         u = tuple(int(c) for c in text.replace(",", " ").split())
     except ValueError as exc:
-        raise InputError(f"cannot parse covector {text!r}") from exc
+        raise ValueError(f"cannot parse covector {text!r}") from exc
     if len(u) != rank:
-        raise InputError(f"covector {u} does not match rank {rank}")
+        raise ValueError(f"covector {u} does not match rank {rank}")
     return u
 
 
@@ -212,7 +208,7 @@ def _parse_points(text: str) -> list[tuple[int, ...]]:
         data = json.loads(text)
         return [lattice_point(p) for p in data]
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise InputError(f"cannot parse point list {text!r}") from exc
+        raise ValueError(f"cannot parse point list {text!r}") from exc
 
 
 def _emit(payload: dict) -> None:
@@ -239,13 +235,20 @@ def _emit_unstable(pair: Pair, u: Sequence[int], with_limits: bool = False) -> i
     return EXIT_FALSE
 
 
-def cmd_check(args) -> int:
+def _decide(args, with_limits: bool) -> int:
+    """The body of `check` and of `destabilize`, which differ only in
+    `with_limits`; each calls it, not the other, so that a traced request
+    is counted under its own command."""
     pair = load_pair(args.problem)
     verdict = t_semistable(pair)
     if verdict.semistable:
         _emit({"status": "semistable"})
         return EXIT_TRUE
-    return _emit_unstable(pair, verdict.witness)
+    return _emit_unstable(pair, verdict.witness, with_limits)
+
+
+def cmd_check(args) -> int:
+    return _decide(args, with_limits=False)
 
 
 def cmd_stable(args) -> int:
@@ -263,12 +266,7 @@ def cmd_stable(args) -> int:
 
 
 def cmd_destabilize(args) -> int:
-    pair = load_pair(args.problem)
-    verdict = t_semistable(pair)
-    if verdict.semistable:
-        _emit({"status": "semistable"})
-        return EXIT_TRUE
-    return _emit_unstable(pair, verdict.witness, with_limits=True)
+    return _decide(args, with_limits=True)
 
 
 def cmd_relinv(args) -> int:
@@ -318,7 +316,7 @@ def cmd_energy(args) -> int:
     try:
         line = energy._SubgroupLine(pair, u)  # the one check of u, and its one pairing
     except ValueError:
-        raise InputError(f"covector {u} violates the problem constraints") from None
+        raise ValueError(f"covector {u} violates the problem constraints") from None
     payload: dict[str, Any] = {
         "u": list(u),
         "energy_at_identity": energy.energy_at(pair, [0.0] * pair.problem.rank),
@@ -326,7 +324,7 @@ def cmd_energy(args) -> int:
     }
     if args.at_t is not None:
         if not 0.0 < args.at_t <= 1.0:
-            raise InputError("--at-t must lie in (0, 1]")
+            raise ValueError("--at-t must lie in (0, 1]")
         payload["energy_at_t"] = line.energy(args.at_t)
     if args.slope:
         payload["slope"] = line.slope()
@@ -352,13 +350,10 @@ def cmd_futaki(args) -> int:
 
 
 def cmd_binary(args) -> int:
-    try:
-        f = binary_forms.BinaryForm.parse(args.f)
-        g = binary_forms.BinaryForm.parse(args.g)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    f = binary_forms.BinaryForm.parse(args.f)
+    g = binary_forms.BinaryForm.parse(args.g)
     if args.oracle and f.degree + g.degree > MAX_ORACLE_DEGREE:
-        raise InputError(
+        raise ValueError(
             f"total degree {f.degree + g.degree} is above the cap of {MAX_ORACLE_DEGREE} "
             "for --oracle"
         )
@@ -379,12 +374,9 @@ def cmd_binary(args) -> int:
 
 def cmd_variety(args) -> int:
     if args.N > MAX_VARIETY_N:
-        raise InputError(f"N = {args.N} is above the cap of {MAX_VARIETY_N}")
-    try:
-        datum = VarietyDatum(args.n, args.d, _magnitude(args.mu), args.N)
-        report = degrees(datum, genus=args.genus)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(f"N = {args.N} is above the cap of {MAX_VARIETY_N}")
+    datum = VarietyDatum(args.n, args.d, _magnitude(args.mu), args.N)
+    report = degrees(datum, genus=args.genus)
     _emit(
         {
             "deg_resultant": report.deg_resultant,
@@ -467,7 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # Looked up per call, so a rebound `cmd_*` attribute is the one run.
         return globals()["cmd_" + args.command](args)
-    except (InputError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         _emit({"error": str(exc)})
         return EXIT_ERROR
     except Exception as exc:

@@ -375,12 +375,6 @@ def _scan_normals(p: Pair) -> tuple[OnePS | None, list[tuple]]:
     return None, passes
 
 
-def _slope_offset(p: Pair, q: int, u: Sequence[int], xw: list[int]) -> int:
-    """b with futaki_gen(u, perturb(p, m, q)) == futaki_gen(u, p) * m + b
-    for every m, from the pairings xw of u with the w-support."""
-    return min(xw) - q * min_functional(p.problem.q_polytope, u)
-
-
 def stable(p: Pair, m_max: int) -> StableVerdict:
     """Least perturbation exponent, up to m_max, making the pair semistable.
 
@@ -388,7 +382,8 @@ def stable(p: Pair, m_max: int) -> StableVerdict:
     both steps.  The base is unstable exactly when some u weighs more on w
     than on v, and that u is the witness; so an unstable base pays for a
     facet enumeration, not for containment LPs.  Otherwise each u asks
-    a * m + b <= 0, a = its `futaki_gen` <= 0 and b its `_slope_offset`:
+    a * m + b <= 0, a = its `futaki_gen` <= 0 and b = min_w(u) - q min_Q(u),
+    so that futaki_gen(u, perturb(p, m, q)) == a * m + b for every m:
     a = 0 < b rules out every m, a < 0 needs m >= b / -a.  The largest
     bound is the least exponent; one containment check confirms it.  A u
     with a = 0 and min_w(u) >= 0 has b > 0 whatever the module degree
@@ -404,7 +399,7 @@ def stable(p: Pair, m_max: int) -> StableVerdict:
     q = degree_of(p.v, p.problem)
     e = 1
     for u, a, xw, _ in passes:
-        b = _slope_offset(p, q, u, xw)
+        b = min(xw) - q * min_functional(p.problem.q_polytope, u)
         if a == 0 and b > 0:
             return StableVerdict.not_stable_up_to(m_max)  # never stable
         if a < 0:
@@ -485,8 +480,11 @@ def relative_invariant(
 def check_relative_invariant(
     p: Pair, chi: Sequence[int], d: int, exponents: Mapping[LatticePoint, int]
 ) -> bool:
-    """Exact verification of a relative-invariant certificate."""
-    if d < 1 or any(n < 0 for n in exponents.values()):
+    """Exact verification of a relative-invariant certificate: an `int`
+    degree d >= 1 and `int` exponents n >= 0 (`bool` is neither)."""
+    if type(d) is not int or d < 1:
+        return False
+    if any(type(n) is not int or n < 0 for n in exponents.values()):
         return False
     if any(lattice_point(b) not in p.w.support for b in exponents):
         return False

@@ -9,12 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.slow
 def test_benchmark_selftest_passes():
     proc = subprocess.run(
         [sys.executable, "bench/selftest.py"],

@@ -61,6 +61,29 @@ class TestBinaryForm:
                 args = (str(p), str(q))
             assert normalize_root(*args) == oracle(p, q)
 
+    @pytest.mark.parametrize("roots", [
+        {(0, 1): 2.7},
+        {(0, 1): "3"},
+        {(0, 1): True},
+        {(0, 1): Fraction(2)},
+        {(0.3, 1): 1},
+        {(0, 1.0): 1},
+        {(True, 1): 1},
+        {("1", 2): 1},
+        {(0.3, 1): 0},
+    ], ids=["float-multiplicity", "str-multiplicity", "bool-multiplicity",
+            "fraction-multiplicity", "float-root", "integral-float-root", "bool-root",
+            "str-root", "float-root-of-multiplicity-zero"])
+    def test_inexact_inputs_are_refused(self, roots):
+        with pytest.raises(ValueError):
+            BinaryForm(roots)
+
+    def test_exact_roots_are_kept(self):
+        f = BinaryForm([((Fraction(1, 2), 1), 2), ((Fraction(3), Fraction(-6)), 1)])
+        assert f.roots == (((-1, 2), 1), ((1, 2), 2))
+        assert f.degree == 3
+        assert BinaryForm({(0, 1): 0}) == ONE
+
     def test_parse_round_trip(self):
         f = BinaryForm.parse("[0:1]^2 [1:0]")
         assert f == BinaryForm({(0, 1): 2, (1, 0): 1})

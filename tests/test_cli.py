@@ -419,6 +419,21 @@ class TestDestabilize:
         assert payload["limit_support_w"] == [[1, 0]]
 
 
+    @pytest.mark.parametrize("command, other", [("check", "destabilize"),
+                                                ("destabilize", "check")])
+    def test_shares_a_body_with_check_but_does_not_call_it(
+        self, capsys, monkeypatch, unstable_file, command, other
+    ):
+        """`main` runs the `cmd_*` attribute bound at call time, and a
+        traced request must count under its own command: neither command
+        goes through the other."""
+        monkeypatch.setattr(stablepairs.cli, "cmd_" + other, None)
+        code, payload = run(capsys, command, unstable_file)
+        assert code == 1
+        assert payload["witness"] == [1, -1]
+        assert ("limit_support_v" in payload) == (command == "destabilize")
+
+
 class TestRelinv:
     def test_certificate(self, capsys, semistable_file):
         code, payload = run(capsys, "relinv", semistable_file, "--chi", "1,0")

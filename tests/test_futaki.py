@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from stablepairs import (
     t_semistable,
 )
 
-from helpers import random_pair
+from helpers import _o_in_span, random_pair
 
 FREE2 = StabilityProblem.free(2)
 SL_LIKE = StabilityProblem(2, [(1, 1)], [(1, 0), (0, 1)])
@@ -59,6 +60,17 @@ class TestFutakiClassical:
         with pytest.raises(ValueError):
             futaki_classical(p, (1, 0))
 
+    def test_covector_is_checked_as_futaki_gen_checks_it(self):
+        """A covector off the lattice is refused, not paired in floats; an
+        integral `Fraction` is paired as the int it equals."""
+        p = Pair(WeightedVector([(1,)]), WeightedVector([(3,)]), StabilityProblem.free(1))
+        with pytest.raises(ValueError, match="non-integer lattice coordinate"):
+            futaki_classical(p, (0.5,))
+        with pytest.raises(ValueError, match="length mismatch"):
+            futaki_classical(p, (1, 0))
+        value = futaki_classical(p, (Fraction(2),))
+        assert value == 4 and type(value) is int
+
 
 class TestAffineSpanTest:
     def test_disjoint_spans(self):
@@ -80,6 +92,24 @@ class TestAffineSpanTest:
     def test_equal_vectors(self):
         wv = WeightedVector([(3, -1), (0, 2)])
         assert affine_span_test(Pair(wv, wv, FREE2))
+
+    def test_matches_the_offset_in_span_formulation(self):
+        """The spans coincide iff the offset between the base points lies in
+        the span of the within-support differences and the constraints,
+        decided here by the independent `Fraction` oracle."""
+        rng = random.Random(99)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            p = random_pair(rng, max_points=3, lo=-2, hi=2)
+            rows = [list(c) for c in p.problem.constraints]
+            for support in (p.v.support, p.w.support):
+                base = support.points[0]
+                rows += [[a - b for a, b in zip(q, base)] for q in support.points[1:]]
+            offset = [b - a for b, a in zip(p.w.support.points[0], p.v.support.points[0])]
+            expected = _o_in_span(rows, offset)
+            assert affine_span_test(p) == expected, p
+            seen[expected] += 1
+        assert min(seen.values()) >= 20
 
 
 class TestSemistableConsequences:

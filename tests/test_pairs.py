@@ -52,6 +52,20 @@ class TestProblemValidation:
         assert prob.constraints == ((1, 1, 1),)
         assert len(prob.q_polytope) == 3
 
+    def test_special_linear_reference_is_the_standard_simplex(self):
+        """The reference is conv(e_0, e_1, e_2), not its complement vectors
+        1 - e_i, which modulo the diagonal are -e_i: there e_0 would need
+        degree 2."""
+        prob = StabilityProblem.special_linear(2)
+        assert prob.q_polytope.points == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert degree_of(WeightedVector([(1, 0, 0)]), prob) == 1
+
+    @pytest.mark.parametrize("v, w", [([(1, 0)], [(1,)]), ([(1,)], [(1, 0)])],
+                             ids=["w", "v"])
+    def test_a_pair_refuses_one_support_of_another_rank(self, v, w):
+        with pytest.raises(ValueError, match="does not match the problem rank"):
+            Pair(WeightedVector(v), WeightedVector(w), FREE2)
+
     def test_reference_polytope_needs_zero_interior(self):
         with pytest.raises(ValueError):
             StabilityProblem(2, [], [(1, 0), (0, 1)])
@@ -288,6 +302,13 @@ class TestStable:
         w = WeightedVector([(1, 0), (-1, 0), (0, 1), (0, -1)])
         verdict = stable(Pair(WeightedVector([(0, 0)]), w, FREE2), 5)
         assert verdict == StableVerdict.stable(1)
+
+    def test_m_max_must_be_at_least_one(self):
+        w = WeightedVector([(1, 0), (-1, 0), (0, 1), (0, -1)])
+        p = Pair(WeightedVector([(0, 0)]), w, FREE2)
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            stable(p, 0)
+        assert stable(p, 1) == StableVerdict.stable(1)
 
     def test_semistable_but_never_stable(self):
         w = WeightedVector([(0, 0), (1, 0)])
@@ -626,6 +647,30 @@ class TestRelativeInvariant:
                     b: int(l * d) for b, l in zip(p.w.support.points, weights) if l
                 }
                 checked += 1
+
+    def test_a_negative_exponent_is_rejected_at_degree_one(self):
+        """3 + 0 - 1 = 2 = chi with exponents summing to d = 1: only the
+        sign of the exponent of 1 is wrong."""
+        p = Pair(WeightedVector([(2,)]), WeightedVector([(0,), (1,), (3,)]),
+                 StabilityProblem.free(1))
+        assert not check_relative_invariant(p, (2,), 1, {(3,): 1, (0,): 1, (1,): -1})
+        assert check_relative_invariant(p, (2,), 3, {(3,): 2, (0,): 1})
+
+    @pytest.mark.parametrize("chi, d, exponents", [
+        ((0,), 1, {(-1,): 0.5, (1,): 0.5}),
+        ((0,), 2.0, {(-1,): 1, (1,): 1}),
+        ((0,), Fraction(2), {(-1,): 1, (1,): 1}),
+        ((0,), 2, {(-1,): 1.0, (1,): 1}),
+        ((1,), 1, {(1,): True}),
+        ((1,), True, {(1,): 1}),
+    ], ids=["float-exponents", "float-degree", "fraction-degree", "one-float-exponent",
+            "bool-exponent", "bool-degree"])
+    def test_inexact_certificates_are_rejected(self, chi, d, exponents):
+        p = Pair(WeightedVector([(0,), (1,)]), WeightedVector([(-1,), (1,)]),
+                 StabilityProblem.free(1))
+        assert check_relative_invariant(p, (0,), 2, {(-1,): 1, (1,): 1})
+        assert check_relative_invariant(p, (1,), 1, {(1,): 1})
+        assert not check_relative_invariant(p, chi, d, exponents)
 
     def test_character_of_the_wrong_length_is_rejected(self):
         exponents = {(1, 0): 1}

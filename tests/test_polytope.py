@@ -26,6 +26,7 @@ from stablepairs import (
     separating_functional,
 )
 from stablepairs.lattice import dot
+from stablepairs.polytope import _facet_normals
 
 from helpers import (
     _o_in_span,
@@ -663,6 +664,20 @@ def test_lower_dimensional_seeds_take_the_lift(monkeypatch, A, ctx):
     assert certificate_normals(A, ctx) == expected
     assert calls == [1]
 
+
+@pytest.mark.parametrize("A", [
+    list(itertools.product((0, 1), repeat=3)),
+    [(i, j) for i in range(3) for j in range(3)],
+    [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)],
+], ids=["cube", "grid", "simplex-with-edge-midpoints"])
+def test_double_description_builds_each_facet_once(A):
+    """Points on a facet of the cone built so far (a zero ray: the cube's
+    coplanar vertices) add their row to that ray and build no copy of it,
+    so each facet comes out of `_facet_normals` exactly once."""
+    A = sorted(A)
+    psi = [[a - b for a, b in zip(q, A[0])] for q in A]
+    rays = [tuple(r) for r in _facet_normals(psi)]
+    assert len(rays) == len(set(rays)) == len(subset_walk_normals(PointSet(A), ContainmentContext()))
 
 def test_double_description_on_the_moment_curve_builds_few_rays(monkeypatch):
     """The cyclic polytope of 200 points of (t, t^2, t^3) has 2(n - 2)
