@@ -32,10 +32,14 @@ _RANK1_PROBLEM = StabilityProblem.free(1, [(-1,), (1,)])
 def normalize_root(p, q) -> RootPoint:
     """Primitive, sign-normalized representative of [p : q].
 
+    This is where root coordinates are checked: they are ints or
+    `Fraction`s, and a float, `bool` or `str` raises `ValueError`.
     Rational inputs are cleared (`clear_denominators`); the representative
     has q > 0, or p > 0 when q = 0.
     """
-    if Fraction(p) == 0 and Fraction(q) == 0:
+    if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in (p, q)):
+        raise ValueError(f"root {(p, q)!r} has an inexact coordinate")
+    if p == 0 and q == 0:
         raise ValueError("[0 : 0] is not a projective point")
     pi, qi = clear_denominators((p, q))
     if qi < 0 or (qi == 0 and pi < 0):
@@ -49,9 +53,9 @@ class BinaryForm:
 
     `roots` maps primitive projective points to multiplicities; the degree
     is their sum.  A form is known up to a nonzero factor, which no verdict
-    reads: it is taken to be 1.  The input is checked once, here: root
-    coordinates are ints or `Fraction`s and multiplicities are ints, and a
-    float, `bool` or `str` raises `ValueError`.
+    reads: it is taken to be 1.  Multiplicities are ints, and a float,
+    `bool` or `str` raises `ValueError`; every root, of multiplicity zero
+    too, goes through `normalize_root`, which checks its coordinates.
     """
 
     degree: int
@@ -65,10 +69,8 @@ class BinaryForm:
                 raise ValueError(f"root multiplicity {mult!r} is not an int")
             if mult < 0:
                 raise ValueError("negative root multiplicity")
-            if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in point):
-                raise ValueError(f"root {tuple(point)!r} has an inexact coordinate")
+            key = normalize_root(*point)
             if mult:
-                key = normalize_root(*point)
                 acc[key] = acc.get(key, 0) + mult
         object.__setattr__(self, "roots", tuple(sorted(acc.items())))
         object.__setattr__(self, "degree", sum(acc.values()))

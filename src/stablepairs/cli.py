@@ -59,9 +59,13 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 EXIT_INTERNAL = 3
 
-# A problem without `Q` builds the cross-polytope of its rank and checks it
-# with an LP of rank + 1 rows over 2 * rank points: about 0.05 s at rank 16
-# and 4 s at rank 80 on one core of an Intel Xeon.
+# A problem without `Q` builds the cross-polytope of its rank.  0 is its
+# centroid, so the interior check poses no LP; what grows is the one
+# elimination of its 2 * rank - 1 difference rows that checks it is
+# full-dimensional, whose work grows like rank ** 3: a first build took
+# 0.001 s at rank 16, 0.07 s at rank 80 and 1 s at rank 200 on one core of
+# an Intel Xeon.  The cap is kept for what it bounds beyond that check: a
+# request stays at the small ranks the exact kernels are sized for.
 MAX_RANK = 16
 
 # A magnitude is an exact rational, and an exponent names a large integer in

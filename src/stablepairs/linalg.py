@@ -12,6 +12,7 @@ digits), not for bulk numerics.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -103,9 +104,20 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank of the matrix: the number of pivot columns of the integer
     elimination (`_eliminate`) of the rows scaled to integers, the same as
     `len(rref(rows)[0])`.  No `Fraction` is built beyond the non-integer
-    entries of the input."""
+    entries of the input.
+
+    The scaled rows are checked (`integral`) on every call, and their rank
+    is then answered from a memo (`_rank`): a problem builder asks it of
+    the same few reference polytopes over and over.
+    """
     _, m = integral(rows)
-    return len(_eliminate(m)[1])
+    return _rank(tuple(map(tuple, m)))
+
+
+@lru_cache(maxsize=64)
+def _rank(rows: tuple[tuple[int, ...], ...]) -> int:
+    """The rank of integer rows, eliminated once per distinct matrix."""
+    return len(_eliminate(list(map(list, rows)))[1])
 
 
 def integer_nullspace(rows: Sequence[Sequence], ncols: int) -> tuple[int, list[list[int]]]:

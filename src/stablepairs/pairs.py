@@ -119,9 +119,10 @@ class StabilityProblem:
 
 
 # Ambient data shared by equal problems.  Both values are immutable, so
-# sharing them is safe; the checks of `StabilityProblem.__init__` still run
-# on every build, and a rejected constraint tuple (an exception) is not
-# cached.
+# sharing them is safe.  `StabilityProblem.__init__` still calls both
+# reference checks on every build; they answer a repeat ambient from their
+# own memos (`linalg.matrix_rank`, `polytope.interior_contains`), and since
+# no memo keeps an exception, a rejected ambient raises on every build.
 
 
 @lru_cache(maxsize=64)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -366,11 +367,22 @@ def interior_contains(
     the centroid of A modulo the directions (0 for the cross polytope and
     for the special-linear simplex), and weight 1 on every point is the
     certificate: no LP is posed.
+
+    The inputs are checked on every call, and the answer then comes from a
+    memo (`_interior`): a problem builder asks it of the same few
+    reference polytopes over and over.
     """
     A = _as_pointset(A)
     if not A.points:
         raise ValueError("empty point set")
     _check_dims(A, x, ctx)
+    return _interior(A, tuple(x), ctx)
+
+
+@lru_cache(maxsize=64)
+def _interior(A: PointSet, x: tuple[Scalar, ...], ctx: ContainmentContext) -> bool:
+    """`interior_contains` of checked inputs, decided once per distinct
+    (A, x, ctx)."""
     n = len(A.points)
     target = ctx.project([n * c - sum(col) for c, col in zip(x, zip(*A.points))])
     if not any(target):

@@ -34,7 +34,8 @@ class TestBinaryForm:
     @pytest.mark.parametrize("kind", [int, Fraction, str])
     def test_root_normalization_against_an_oracle(self, kind):
         """The primitive integer multiple of (p, q) with q > 0, or p > 0
-        when q = 0, found by a search over small multiples."""
+        when q = 0, found by a search over small multiples; a coordinate
+        given as a `str` is refused."""
         def oracle(p, q):
             for n in range(1, 10_000):
                 a, b = p * n, q * n
@@ -56,10 +57,26 @@ class TestBinaryForm:
             p, q = Fraction(p), Fraction(q)
             if p == 0 and q == 0:
                 continue
-            args = (p, q) if kind is not int else (int(p), int(q))
             if kind is str:
-                args = (str(p), str(q))
+                with pytest.raises(ValueError, match="inexact coordinate"):
+                    normalize_root(str(p), str(q))
+                continue
+            args = (p, q) if kind is not int else (int(p), int(q))
             assert normalize_root(*args) == oracle(p, q)
+
+    @pytest.mark.parametrize("point", [(1 / 3, 1), (0.0, 1.0), ("1", "3"), (True, 1)],
+                             ids=["float", "integral-float", "str", "bool"])
+    def test_ord_at_refuses_an_inexact_point(self, point):
+        """A float names another point: 1/3 is a binary rational near it, and
+        the root [1 : 3] of order 2 would read as order 0."""
+        f = BinaryForm({(1, 3): 2, (0, 1): 1})
+        with pytest.raises(ValueError, match="inexact coordinate"):
+            f.ord_at(point)
+        assert f.ord_at((Fraction(1, 3), 1)) == 2 and f.ord_at((0, 1)) == 1
+
+    def test_a_root_of_multiplicity_zero_is_still_a_projective_point(self):
+        with pytest.raises(ValueError, match="not a projective point"):
+            BinaryForm({(0, 0): 0})
 
     @pytest.mark.parametrize("roots", [
         {(0, 1): 2.7},

@@ -13,6 +13,7 @@ import pytest
 import stablepairs.energy
 import stablepairs.linalg
 import stablepairs.pairs
+import stablepairs.polytope
 from stablepairs import (
     Pair,
     PointSet,
@@ -20,6 +21,7 @@ from stablepairs import (
     WeightedVector,
     cross_polytope,
     futaki_gen,
+    interior_contains,
     limit_support,
     min_functional,
 )
@@ -303,7 +305,8 @@ def test_cross_polytope_is_built_once_per_rank():
 
 
 def test_every_problem_runs_every_check(monkeypatch):
-    """No problem is cached: each build asks both reference-polytope checks."""
+    """Each build calls both reference-polytope checks, which may answer a
+    repeat ambient from their own memos; the problem itself is not memoized."""
     calls = []
     for module, name in ((stablepairs.pairs, "interior_contains"),
                          (stablepairs.linalg, "matrix_rank")):
@@ -335,6 +338,8 @@ def test_equal_ambients_share_context_and_reference_normals():
 
 def test_rejected_ambient_raises_on_every_build():
     cached = stablepairs.pairs._context.cache_info().currsize
+    hits = [memo.cache_info().hits
+            for memo in (stablepairs.polytope._interior, stablepairs.linalg._rank)]
     for _ in range(3):
         with pytest.raises(ValueError, match="linearly independent"):
             StabilityProblem(2, [(1, 1), (2, 2)])
@@ -343,13 +348,17 @@ def test_rejected_ambient_raises_on_every_build():
         with pytest.raises(ValueError, match=FULL_DIM):
             StabilityProblem(2, [], [(0, 0)])
     assert stablepairs.pairs._context.cache_info().currsize <= cached + 1
+    # The later refusals are answers the reference-check memos hold.
+    assert stablepairs.polytope._interior.cache_info().hits >= hits[0] + 2
+    assert stablepairs.linalg._rank.cache_info().hits >= hits[1] + 2
 
 
 def test_ambient_memos_stay_bounded():
     for k in range(1, 101):
         problem = StabilityProblem(2, [(1, k)])
         assert problem.q_normals
-    for memo in (stablepairs.pairs._context, stablepairs.pairs._reference_normals):
+    for memo in (stablepairs.pairs._context, stablepairs.pairs._reference_normals,
+                 stablepairs.linalg._rank, stablepairs.polytope._interior):
         info = memo.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
 
@@ -362,3 +371,84 @@ def test_matrix_rank_of_integer_rows_builds_no_fraction(monkeypatch):
     assert matrix_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
     assert matrix_rank([[0, 0], [0, 0]]) == 0
     assert matrix_rank([]) == 0
+
+
+class TestReferenceCheckMemos:
+    """`matrix_rank` and `interior_contains` check their inputs on every call
+    and answer repeat inputs from a memo, which never holds a rejection."""
+
+    # 0 is the centroid of the first reference and not of the second, which
+    # poses the interior LP.
+    CENTROID = [(7, 1), (-3, 5), (-4, -6)]
+    OFF_CENTROID = [(5, 0), (-1, 3), (-2, -2)]
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self):
+        stablepairs.linalg._rank.cache_clear()
+        stablepairs.polytope._interior.cache_clear()
+        stablepairs.pairs._context(())
+
+    @pytest.mark.parametrize("q, lps", [(CENTROID, 0), (OFF_CENTROID, 1)],
+                             ids=["centroid", "interior-lp"])
+    def test_repeated_builds_run_each_check_once(self, monkeypatch, q, lps):
+        counts = {"eliminate": 0, "lp": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(stablepairs.linalg, "_eliminate",
+                            counting("eliminate", stablepairs.linalg._eliminate))
+        monkeypatch.setattr(stablepairs.polytope, "_cone_lp",
+                            counting("lp", stablepairs.polytope._cone_lp))
+        problems = [StabilityProblem(2, [], q) for _ in range(3)]
+        assert counts == {"eliminate": 1, "lp": lps}
+        assert problems[0] == problems[1] == problems[2]
+
+    def test_matrix_rank_answers_alike_for_int_and_fraction_rows(self):
+        ints = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
+        halves = [[Fraction(x, 2) for x in row] for row in ints]
+        integral_fractions = [[Fraction(x) for x in row] for row in ints]
+        for rows in (ints, halves, integral_fractions):
+            for given in (rows, [tuple(row) for row in rows], tuple(map(tuple, rows))):
+                assert matrix_rank(given) == 2
+        assert matrix_rank([[1, Fraction(1, 3)], [3, 1]]) == 1
+        assert matrix_rank([(1, Fraction(1, 3)), (3, 2)]) == 2
+        assert matrix_rank([[0, 0]]) == matrix_rank(((0, 0),)) == 0
+
+    @pytest.mark.parametrize("rows, exc", [
+        ([[1, "x"]], ValueError),
+        ([[1, None]], TypeError),
+        ([[1, [2]]], TypeError),
+        ([[1, float("nan")]], ValueError),
+        ([1, 2], TypeError),
+    ], ids=["str", "none", "unhashable", "nan", "flat"])
+    def test_matrix_rank_refuses_on_every_call(self, rows, exc):
+        for _ in range(2):
+            with pytest.raises(exc):
+                matrix_rank(rows)
+        assert stablepairs.linalg._rank.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("target, message", [
+        ((0.0, 0), "non-exact point coordinate 0.0"),
+        ((0, "0"), "non-exact point coordinate '0'"),
+        (([0], 0), r"non-exact point coordinate \[0\]"),
+        ((True, 0.5), "non-exact point coordinate 0.5"),
+        ((0, 0, 0), "dimension mismatch"),
+    ], ids=["float", "str", "unhashable", "float-after-bool", "length"])
+    def test_interior_contains_refuses_on_every_call(self, target, message):
+        square = cross_polytope(2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                interior_contains(square, target)
+        assert stablepairs.polytope._interior.cache_info().currsize == 0
+
+    def test_interior_contains_answers_alike_for_every_exact_target(self):
+        square = cross_polytope(2)
+        for target in ((0, 0), [0, 0], (Fraction(0), 0), (Fraction(1, 2), Fraction(-1, 3))):
+            assert interior_contains(square, target) is True
+        for target in ((1, 0), [1, 0], (Fraction(2), 0), (Fraction(3, 2), 0)):
+            assert interior_contains(square, target) is False
+        assert interior_contains(square, (0, 0), stablepairs.pairs._context(())) is True
